@@ -27,7 +27,11 @@ like a truncated or missing blob, an unpicklable payload, or an index
 row whose blob vanished — demotes the entry to a miss (the row is
 deleted, a ``RuntimeWarning`` is emitted, and the caller recomputes).
 A schema-version mismatch disables the cache for the process instead of
-guessing at the on-disk format.
+guessing at the on-disk format.  A lock never does: SQLite answers the
+rollback-to-WAL switch of a database another process is creating with
+SQLITE_BUSY *without* consulting the busy handler, so the first open
+retries the switch and the schema creation with bounded backoff, and an
+open still locked after that is retried on the next use.
 """
 
 from __future__ import annotations
@@ -58,6 +62,33 @@ CACHE_SCHEMA_VERSION = 1
 #: serving results the current code would not reproduce.
 ENGINE_SALT = "pdes-2"
 
+#: Wall-clock budget and backoff ceiling (seconds) for retrying a first
+#: open that lost the WAL-switch race (see :func:`_retry_on_lock`).
+_OPEN_RETRY_S = 30.0
+_OPEN_BACKOFF_MAX_S = 0.5
+
+
+def _is_lock_error(exc: Exception) -> bool:
+    text = str(exc).lower()
+    return isinstance(exc, sqlite3.OperationalError) and (
+        "locked" in text or "busy" in text
+    )
+
+
+def _retry_on_lock(fn):
+    """``fn()``, retried with doubling backoff while SQLite reports a lock,
+    for at most :data:`_OPEN_RETRY_S` seconds (then the lock re-raises)."""
+    deadline = _time.monotonic() + _OPEN_RETRY_S
+    delay = 0.005
+    while True:
+        try:
+            return fn()
+        except sqlite3.OperationalError as exc:
+            if not _is_lock_error(exc) or _time.monotonic() >= deadline:
+                raise
+        _time.sleep(delay)
+        delay = min(2 * delay, _OPEN_BACKOFF_MAX_S)
+
 
 def cache_salt() -> str:
     """The invalidation salt mixed into every cache key."""
@@ -85,7 +116,7 @@ def cache_key(scenario: "Scenario") -> str:
     enforces that they never change the result, so a cell computed
     serially must hit for the same cell requested on a sharded backend —
     that cross-backend sharing is most of a mixed sweep's hit rate.
-    Result-relevant fields (machine, app, resilience, seed, engine) and
+    Result-relevant fields (machine, app, resilience, seed) and
     the instrumentation switches that change the cached payload
     (``observe``, ``trace_detail``, ``check``) stay in the key.
     """
@@ -247,6 +278,7 @@ class ResultCache:
         self.db_path = self.root / "index.sqlite3"
         self.stats = CacheStats()
         self._conns: dict[int, sqlite3.Connection] = {}
+        self._schema_ready = False
         #: Set when the on-disk cache cannot be used (schema mismatch,
         #: unwritable directory); every lookup misses, every store no-ops.
         self.disabled_reason: str | None = None
@@ -255,9 +287,12 @@ class ResultCache:
         self._pending_warning: str | None = None
         try:
             self.blob_dir.mkdir(parents=True, exist_ok=True)
-            self._init_schema()
+            self._conn()
         except (OSError, sqlite3.Error) as exc:
-            self.disabled_reason = f"cache directory unusable: {exc}"
+            # A lock that outlasted the retries is still transient: the
+            # next _conn() retries the open instead of disabling.
+            if not _is_lock_error(exc):
+                self.disabled_reason = f"cache directory unusable: {exc}"
 
     # ------------------------------------------------------------------
     # connections & schema
@@ -267,14 +302,20 @@ class ResultCache:
         conn = self._conns.get(pid)
         if conn is None:
             conn = sqlite3.connect(str(self.db_path), timeout=30.0, isolation_level=None)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=10000")
+            try:
+                conn.execute("PRAGMA busy_timeout=10000")
+                _retry_on_lock(lambda: conn.execute("PRAGMA journal_mode=WAL"))
+                conn.execute("PRAGMA synchronous=NORMAL")
+            except sqlite3.Error:
+                conn.close()
+                raise
             self._conns[pid] = conn
+        if not self._schema_ready:
+            _retry_on_lock(lambda: self._init_schema(conn))
+            self._schema_ready = True
         return conn
 
-    def _init_schema(self) -> None:
-        conn = self._conn()
+    def _init_schema(self, conn: sqlite3.Connection) -> None:
         conn.executescript(_SCHEMA)
         row = conn.execute("SELECT value FROM meta WHERE key = 'schema'").fetchone()
         if row is None:

@@ -21,7 +21,7 @@ Every ``app``/``arch``/``sweep`` invocation resolves one
 :class:`~repro.run.scenario.Scenario` through the layered precedence
 chain — library defaults < ``--scenario`` TOML file < ``XSIM_*``
 environment < explicit flags — and executes it on its registered backend
-(``serial``, ``sharded-inline``, ``sharded-fork``, ``sharded-shm``; pick
+(``serial``, ``sharded-inline``, ``sharded-fork``; pick
 with ``--shards`` / ``--shard-transport`` or the scenario's ``execution``
 table).  Results and traces are bit-identical across backends.
 
@@ -114,21 +114,12 @@ def _add_shards_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--shard-transport",
-        choices=["fork", "inline", "shm"],
+        choices=["fork", "inline"],
         default=None,
         help="shard worker transport (default: XSIM_SHARD_TRANSPORT or fork): "
-        "fork (one process per shard, pickled pipes), shm (forked workers "
-        "with shared-memory envelope rings — lowest overhead), or inline "
-        "(all shards in-process — same schedule, for debugging and "
-        "single-core hosts); results are bit-identical across all three",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["heap", "flat"],
-        default=None,
-        help="event-core selection (default: XSIM_ENGINE or heap): heap is "
-        "the tuple binary heap, flat the slab-pool flat core; results and "
-        "traces are bit-identical",
+        "fork (one process per shard, pickled pipes) or inline (all shards "
+        "in-process — same schedule, for debugging and single-core hosts); "
+        "results are bit-identical across both",
     )
 
 
@@ -210,7 +201,6 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
         seed=getattr(args, "seed", None),
         shards=getattr(args, "shards", None),
         shard_transport=getattr(args, "shard_transport", None),
-        engine=getattr(args, "engine", None),
         app=getattr(args, "app", None),
         iterations=getattr(args, "iterations", None),
         interval=getattr(args, "interval", None),
@@ -495,19 +485,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     out = Path(args.out) if args.out else bench.BENCH_PATH
     update: dict = {}
-    if not args.skip_cores:
-        print("heap vs flat event core at 512 ranks (paired, interleaved) ...")
-        cores = bench.measure_cores(nranks=512)
-        update["cores"] = cores
-        for core in ("heap", "flat"):
-            r = cores[core]
-            print(f"  {core}: {cores['events']:>9,} events in {r['host_s']:.3f}s "
-                  f"({r['events_per_sec']:,.0f} ev/s)")
-        fp = cores["flat"]["profile"]
-        print(f"  flat/heap ratio {cores['flat_vs_heap']:.3f}x; flat pool peak "
-              f"{fp['pool_peak']:,} slots, {fp['slab_grows']} slab grows, "
-              f"free-list reuse {fp['free_reuse_ratio']:.1%}, "
-              f"max batch {fp['batch_max']:,}")
     if not args.skip_cache:
         print("cold vs warm sweep through the result cache ...")
         rec = bench.measure_cache()
@@ -522,8 +499,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         fs = bench.full_scale_record()
         update["full_scale"] = fs
         print(f"  {fs['events']:,} events in {fs['host_s']:.3f}s "
-              f"({fs['events_per_sec']:,.0f} ev/s, E1={fs['e1']:,.1f}s, "
-              f"{fs['engine']} core)")
+              f"({fs['events_per_sec']:,.0f} ev/s, E1={fs['e1']:,.1f}s)")
     if not args.skip_scaling:
         print(f"scaling sweep at {', '.join(map(str, bench.SCALES))} ranks ...")
         results = bench.run_scaling()
@@ -863,8 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the serial throughput sweep")
     p_bench.add_argument("--skip-sharded", action="store_true",
                          help="skip the serial-vs-sharded comparison")
-    p_bench.add_argument("--skip-cores", action="store_true",
-                         help="skip the paired heap-vs-flat event-core comparison")
     p_bench.add_argument("--skip-cache", action="store_true",
                          help="skip the cold-vs-warm result-cache sweep comparison")
     p_bench.add_argument("--out", default=None, metavar="FILE",

@@ -79,7 +79,6 @@ def run_scale(
     nranks: int,
     repeats: int = 1,
     checkpoint_interval: int = 500,
-    engine: str = "heap",
 ) -> dict:
     """One serial throughput measurement (best of ``repeats``)."""
     best = None
@@ -88,7 +87,7 @@ def run_scale(
         wl = HeatConfig.paper_workload(
             checkpoint_interval=checkpoint_interval, nranks=nranks
         )
-        sim = XSim(system, engine=engine)
+        sim = XSim(system)
         t0 = time.perf_counter()
         with EngineProfiler(sim.engine, world=sim.world) as prof:
             result = sim.run(heat3d, args=(wl, CheckpointStore()))
@@ -111,77 +110,24 @@ def run_scaling(
     scales=SCALES,
     reference_scale: int = 512,
     reference_repeats: int = 5,
-    engine: str = "heap",
 ):
     """The throughput sweep: ``{nranks: run_scale(...)}`` per scale."""
     return {
         n: run_scale(
             n,
             repeats=reference_repeats if n == reference_scale else 1,
-            engine=engine,
         )
         for n in scales
     }
 
 
-def measure_cores(nranks: int = 512, repeats: int = 3, rounds: int = 3) -> dict:
-    """Paired heap-vs-flat A/B at one scale: the two cores alternate
-    within one session (min-of-``repeats`` per round, best across
-    ``rounds``), cancelling host drift the same way ``PAIRED_AB_512``
-    did for the seed comparison.  Asserts the runs are event-identical
-    before reporting any throughput."""
-    best: dict[str, dict] = {}
-    for _ in range(rounds):
-        for core in ("heap", "flat"):
-            r = run_scale(nranks, repeats=repeats, engine=core)
-            if core not in best or r["host_s"] < best[core]["host_s"]:
-                best[core] = r
-    if best["heap"]["events"] != best["flat"]["events"] or (
-        best["heap"]["e1"] != best["flat"]["e1"]
-    ):
-        raise RuntimeError(
-            "heap/flat runs diverged: "
-            f"{best['heap']['events']}/{best['heap']['e1']} vs "
-            f"{best['flat']['events']}/{best['flat']['e1']}"
-        )
-    heap_rate = rate(best["heap"]["events"], best["heap"]["host_s"])
-    flat_rate = rate(best["flat"]["events"], best["flat"]["host_s"])
-    return {
-        "nranks": nranks,
-        "method": f"interleaved heap/flat, min-of-{repeats} each, {rounds} rounds",
-        "events": best["heap"]["events"],
-        "heap": {
-            "host_s": round(best["heap"]["host_s"], 4),
-            "events_per_sec": round(heap_rate, 1),
-            "profile": best["heap"]["profile"],
-        },
-        "flat": {
-            "host_s": round(best["flat"]["host_s"], 4),
-            "events_per_sec": round(flat_rate, 1),
-            "profile": best["flat"]["profile"],
-        },
-        "flat_vs_heap": round(flat_rate / heap_rate, 3) if heap_rate > 0 else 0.0,
-        "note": (
-            "the two cores are digest-identical (flat-parity simcheck); "
-            "measured throughput is parity within host noise (0.85-1.1x "
-            "across sessions) — CPython's small-tuple free lists make the "
-            "heap core's per-event tuples nearly free, so the slab pool's "
-            "win is bounded steady-state memory (free-list reuse ~100%, "
-            "zero allocation after the peak) and pool/batch observability, "
-            "not raw speed; CI enforces flat_vs_heap >= 0.7 as a "
-            "regression floor, not a speedup claim"
-        ),
-    }
-
-
-def full_scale_record(checkpoint_interval: int = 500, engine: str = "flat") -> dict:
+def full_scale_record(checkpoint_interval: int = 500) -> dict:
     """The paper-exact 32,768-rank benchmark entry (guarded behind
     ``XSIM_FULL_SCALE=1`` in the CLI/CI because it takes tens of
     seconds): one serial run at the Table II operating point."""
-    r = run_scale(32768, repeats=1, checkpoint_interval=checkpoint_interval, engine=engine)
+    r = run_scale(32768, repeats=1, checkpoint_interval=checkpoint_interval)
     return {
         "nranks": 32768,
-        "engine": engine,
         "checkpoint_interval": checkpoint_interval,
         "events": r["events"],
         "host_s": round(r["host_s"], 4),
@@ -229,7 +175,7 @@ def measure_sharded(
     nranks: int = 4096,
     shards: int = 4,
     collective_algorithm: str = "tree",
-    transports: tuple = ("inline", "fork", "shm"),
+    transports: tuple = ("inline", "fork"),
     checkpoint_interval: int = 500,
 ) -> dict:
     """Serial vs sharded on one simulation; see the module docstring.

@@ -73,15 +73,11 @@ Transports
 ``fork`` (default where available): workers are forked from the launched
 parent simulation, so construction cost is paid once and copy-on-write
 shares the launch state; envelopes travel over ``multiprocessing`` pipes.
-``shm``: forked workers exchanging envelopes through shared-memory ring
-buffers with a fixed packed encoding (:mod:`repro.pdes.shmring`) — the
-pipe carries only small control headers, so the per-envelope pickle and
-syscall costs of the fork transport disappear.
 ``inline``: every shard is an independently constructed replica driven in
 one process — no parallelism, but bit-exact and debuggable, and the
 mechanism the property tests use.
 
-All three transports produce bit-identical digests; a worker process that
+Both transports produce bit-identical digests; a worker process that
 dies mid-protocol raises :class:`~repro.util.errors.ShardWorkerDied`
 (liveness polling) instead of blocking the coordinator forever.
 """
@@ -129,7 +125,6 @@ from repro.models.network.topology import (
 from repro.mpi.world import MpiWorld
 from repro.pdes.context import VirtualProcess, VpState
 from repro.pdes.engine import Engine, SimulationResult
-from repro.pdes.shmring import RingPeerDead, ShmRing, pack_envelope, unpack_envelope
 from repro.util.errors import (
     ConfigurationError,
     DeadlockError,
@@ -492,7 +487,7 @@ class ShardStats:
     #: Transport the caller asked for (``None`` = auto-select).
     requested_transport: str | None = None
     #: True when an unavailable fork start method forced the requested
-    #: fork/shm transport down to inline (surfaced via SimLog/obs too).
+    #: fork transport down to inline (surfaced via SimLog/obs too).
     transport_fallback: bool = False
     #: Shard sizes of the (possibly topology-slid) partition.
     partition: list[int] = field(default_factory=list)
@@ -1097,72 +1092,6 @@ def _forked_worker_main(
         os._exit(status)
 
 
-def _shm_worker_main(
-    conn,
-    worker: ShardWorker,
-    stores: tuple[CheckpointStore, ...],
-    ring_in: ShmRing,
-    ring_out: ShmRing,
-) -> None:
-    """Child-process loop of the shm transport.
-
-    The pipe carries only control headers (op, window end, record counts,
-    fail/abort summaries); envelopes stream through the rings in the packed
-    encoding.  Headers always precede ring traffic in both directions, so
-    neither side ever blocks on a ring the other has not started draining.
-    """
-    status = 0
-    parent = mp.parent_process()
-    alive = parent.is_alive if parent is not None else None
-    try:
-        try:
-            conn.send(("ok", worker.setup(stores=stores)))
-            while True:
-                msg = conn.recv()
-                op = msg[0]
-                if op == "close":
-                    break
-                if op == "window":
-                    envs = [
-                        unpack_envelope(ring_in.read(alive=alive))
-                        for _ in range(msg[2])
-                    ]
-                    worker.apply(envs, ())
-                    m_next, out, fails, abort, wall = worker.run_window(msg[1])
-                elif op == "exact":
-                    m_next, out, fails, abort, wall = worker.run_exact(msg[1])
-                elif op == "apply":
-                    envs = [
-                        unpack_envelope(ring_in.read(alive=alive))
-                        for _ in range(msg[1])
-                    ]
-                    worker.apply(envs, msg[2])
-                    conn.send(("ok", worker.engine.next_event_time()))
-                    continue
-                elif op == "finish":
-                    conn.send(("ok", worker.finish()))
-                    continue
-                else:
-                    raise SimulationError(f"unknown shard op {op!r}")
-                conn.send(("ok", (m_next, len(out), fails, abort, wall)))
-                for env in out:
-                    ring_out.write(pack_envelope(env), alive=alive)
-        except EOFError:
-            pass
-        except BaseException as err:
-            status = 1
-            try:
-                conn.send(("error", f"{type(err).__name__}: {err}"))
-            except Exception:
-                pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-        os._exit(status)
-
-
 # ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
@@ -1184,8 +1113,8 @@ class _InlineConn:
         return _handle_op(self.worker, msg)
 
 
-class _ProcConn:
-    """Shared liveness machinery of the process-backed transports.
+class _ForkConn:
+    """Pipe to a forked worker process (envelopes pickled in-band).
 
     Replies are awaited with bounded ``conn.poll`` + ``proc.is_alive``
     checks: a worker that dies mid-window raises
@@ -1205,13 +1134,10 @@ class _ProcConn:
         #: Protocol rounds (setup/window/lockstep/apply replies) completed.
         self.completed_rounds = 0
 
-    def _alive(self) -> bool:
-        return self.proc.is_alive()
-
     def _worker_died(self):
         raise ShardWorkerDied(self.shard_id, self.completed_rounds)
 
-    def _send(self, msg: tuple) -> None:
+    def send(self, msg: tuple) -> None:
         try:
             self.conn.send(msg)
         except (BrokenPipeError, OSError):
@@ -1235,73 +1161,12 @@ class _ProcConn:
                     pass
                 self._worker_died()
 
-    def _checked_reply(self) -> Any:
+    def recv_payload(self) -> Any:
         reply = self._recv()
         if reply[0] == "error":
             raise SimulationError(f"shard {self.shard_id} worker failed: {reply[1]}")
+        self.completed_rounds += 1
         return reply[1]
-
-
-class _ForkConn(_ProcConn):
-    """Pipe to a forked worker process (envelopes pickled in-band)."""
-
-    def send(self, msg: tuple) -> None:
-        self._send(msg)
-
-    def recv_payload(self) -> Any:
-        payload = self._checked_reply()
-        self.completed_rounds += 1
-        return payload
-
-
-class _ShmConn(_ProcConn):
-    """Pipe for control + shared-memory rings for envelope payloads.
-
-    Both directions announce the record count on the pipe first, then
-    stream packed envelopes through the ring — the announced side is
-    already draining by the time the ring could fill, so streaming cannot
-    deadlock even for batches larger than the ring.
-    """
-
-    def __init__(self, conn, proc, shard_id: int, ring_out: ShmRing, ring_in: ShmRing):
-        super().__init__(conn, proc, shard_id)
-        self.ring_out = ring_out
-        self.ring_in = ring_in
-        self._last_op: str | None = None
-
-    def _stream(self, envelopes: list[tuple]) -> None:
-        try:
-            for env in envelopes:
-                self.ring_out.write(pack_envelope(env), alive=self._alive)
-        except RingPeerDead:
-            self._worker_died()
-
-    def send(self, msg: tuple) -> None:
-        op = msg[0]
-        self._last_op = op
-        if op == "window":
-            self._send(("window", msg[1], len(msg[2])))
-            self._stream(msg[2])
-        elif op == "apply":
-            self._send(("apply", len(msg[1]), msg[2]))
-            self._stream(msg[1])
-        else:
-            self._send(msg)
-
-    def recv_payload(self) -> Any:
-        payload = self._checked_reply()
-        if self._last_op in ("window", "exact"):
-            m_next, n_out, fails, abort, wall = payload
-            try:
-                out = [
-                    unpack_envelope(self.ring_in.read(alive=self._alive))
-                    for _ in range(n_out)
-                ]
-            except RingPeerDead:
-                self._worker_died()
-            payload = (m_next, out, fails, abort, wall)
-        self.completed_rounds += 1
-        return payload
 
 
 def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
@@ -1324,7 +1189,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         shards=sim.shards,
         shard_transport="inline",
         observe=sim.observer,
-        engine=sim.engine_name,
     )
     replica.world.launch(app, nranks, args)
     for rank, time in sim._armed_failures:
@@ -1332,11 +1196,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
     for fault in sim._armed_perturbations:
         replica.world.faults.arm(fault)
     return replica
-
-
-#: Per-direction shared-memory ring capacity of the shm transport.  Rings
-#: stream, so this bounds memory, not batch or envelope size.
-_SHM_RING_BYTES = 1 << 20
 
 
 def _make_transport(
@@ -1371,31 +1230,16 @@ def _make_transport(
     ctx = mp.get_context("fork")
     conns = []
     procs = []
-    rings: list[ShmRing] = []
     for k, part in enumerate(parts):
         parent_conn, child_conn = ctx.Pipe()
-        worker = make_worker(sim, k, part)
-        if transport == "shm":
-            # Created before the fork so the child inherits the mappings.
-            c2w, w2c = ShmRing(_SHM_RING_BYTES), ShmRing(_SHM_RING_BYTES)
-            rings += [c2w, w2c]
-            proc = ctx.Process(
-                target=_shm_worker_main,
-                args=(child_conn, worker, stores, c2w, w2c),
-                daemon=True,
-            )
-        else:
-            proc = ctx.Process(
-                target=_forked_worker_main,
-                args=(child_conn, worker, stores),
-                daemon=True,
-            )
+        proc = ctx.Process(
+            target=_forked_worker_main,
+            args=(child_conn, make_worker(sim, k, part), stores),
+            daemon=True,
+        )
         proc.start()  # forks the fully launched, not-yet-run simulation
         child_conn.close()
-        if transport == "shm":
-            conns.append(_ShmConn(parent_conn, proc, k, ring_out=c2w, ring_in=w2c))
-        else:
-            conns.append(_ForkConn(parent_conn, proc, k))
+        conns.append(_ForkConn(parent_conn, proc, k))
         procs.append(proc)
     # The parent engine is consumed by the forked workers; mark it run so a
     # stray Engine.run() cannot double-execute the launch state.  (Set only
@@ -1419,8 +1263,6 @@ def _make_transport(
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=10)
-        for ring in rings:  # after the children are gone: unlink the segments
-            ring.destroy()
 
     return conns, cleanup
 
@@ -1659,10 +1501,10 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
     transport = requested
     if transport is None:
         transport = "fork" if "fork" in mp.get_all_start_methods() else "inline"
-    elif transport not in ("fork", "inline", "shm"):
+    elif transport not in ("fork", "inline"):
         raise ConfigurationError(f"unknown shard transport {transport!r}")
     fallback = False
-    if transport in ("fork", "shm") and "fork" not in mp.get_all_start_methods():
+    if transport == "fork" and "fork" not in mp.get_all_start_methods():
         fallback = True
         message = (
             f"{transport!r} shard transport needs the fork start method "
@@ -1804,7 +1646,7 @@ def _merge_reports(
             key=lambda entry: entry[0],
         )
         sim.event_trace.entries = merged_trace
-    if stores and transport in ("fork", "shm"):
+    if stores and transport == "fork":
         # Owned-rank checkpoint files replace the parent's pre-fork view;
         # counters advance by the per-shard deltas — per component
         # namespace (a multi-level store ships one delta per tier).

@@ -7,10 +7,7 @@ SimulationResult`` — and is registered by name:
 * ``serial`` — the single-process PDES engine;
 * ``sharded-inline`` — the conservative-parallel engine with every shard
   replica driven in one process (bit-exact, debuggable, no extra cores);
-* ``sharded-fork`` — one forked worker process per shard;
-* ``sharded-shm`` — forked workers exchanging envelopes through
-  shared-memory rings (:mod:`repro.pdes.shmring`) instead of pickled
-  pipes.
+* ``sharded-fork`` — one forked worker process per shard.
 
 The jobs x shards CPU-capping guard (:func:`capped_shards`) lives here,
 so campaigns and direct API calls get the same oversubscription
@@ -69,7 +66,7 @@ def capped_shards(
 ) -> int:
     """Cap ``jobs * shards`` at the host's CPU count (process transports).
 
-    Every forked/shm shard worker is a full process; running ``jobs`` pool
+    Every forked shard worker is a full process; running ``jobs`` pool
     workers that each fork ``shards`` engine workers silently oversubscribes
     the host and makes *everything* slower.  The inline transport stays in
     one process and is never capped.
@@ -127,7 +124,6 @@ class Backend:
             record_events=scenario.record_events,
             shards=self.resolve_shards(scenario, quiet=quiet),
             shard_transport=self.transport,
-            engine=scenario.engine,
             observe=observe if observe is not None else (scenario.observe or None),
             trace_detail=scenario.trace_detail,
             scenario=scenario,
@@ -203,14 +199,6 @@ class ShardedForkBackend(_ShardedBackend):
 
     name = "sharded-fork"
     transport = "fork"
-
-
-@register_backend
-class ShardedShmBackend(_ShardedBackend):
-    """Conservative-parallel shards over shared-memory envelope rings."""
-
-    name = "sharded-shm"
-    transport = "shm"
 
 
 def backend_for(shards: int, shard_transport: str | None) -> Backend:

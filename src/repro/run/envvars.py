@@ -61,9 +61,8 @@ XSIM_ENV_VARS: dict[str, EnvVar] = {
             "XSIM_SHARD_TRANSPORT",
             field="shard_transport",
             cli_flag="--shard-transport",
-            description='shard worker transport: "fork" (pickled pipes), '
-            '"shm" (shared-memory envelope rings), or "inline" '
-            "(single-process); digests are transport-independent",
+            description='shard worker transport: "fork" (pickled pipes) '
+            'or "inline" (single-process); digests are transport-independent',
         ),
         EnvVar(
             "XSIM_JOBS",
@@ -71,13 +70,6 @@ XSIM_ENV_VARS: dict[str, EnvVar] = {
             cli_flag="--jobs",
             description="worker-process count for campaigns of independent "
             "runs (1 = serial in-process)",
-        ),
-        EnvVar(
-            "XSIM_ENGINE",
-            field="engine",
-            cli_flag="--engine",
-            description='event-core selection: "heap" (tuple binary heap) '
-            'or "flat" (slab-pool flat core); digest-identical',
         ),
         EnvVar(
             "XSIM_STRATEGY",
@@ -155,18 +147,11 @@ def read_environment(environ=None) -> dict[str, object]:
         out[field] = value
     raw = env.get("XSIM_SHARD_TRANSPORT", "").strip()
     if raw:
-        if raw not in ("fork", "inline", "shm"):
+        if raw not in ("fork", "inline"):
             raise ConfigurationError(
-                f"XSIM_SHARD_TRANSPORT must be 'fork', 'inline' or 'shm', got {raw!r}"
+                f"XSIM_SHARD_TRANSPORT must be 'fork' or 'inline', got {raw!r}"
             )
         out["shard_transport"] = raw
-    raw = env.get("XSIM_ENGINE", "").strip()
-    if raw:
-        if raw not in ("heap", "flat"):
-            raise ConfigurationError(
-                f"XSIM_ENGINE must be 'heap' or 'flat', got {raw!r}"
-            )
-        out["engine"] = raw
     raw = env.get("XSIM_STRATEGY", "").strip()
     if raw:
         from repro.resilience import strategy_names

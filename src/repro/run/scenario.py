@@ -70,7 +70,6 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
     "execution": (
         ("seed", "seed"),
         ("backend", "backend"),
-        ("engine", "engine"),
         ("shards", "shards"),
         ("shard_transport", "shard_transport"),
         ("jobs", "jobs"),
@@ -86,7 +85,13 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
 
 APP_NAMES = ("heat3d", "cg", "stencil2d", "ring", "amr")
 TOPOLOGY_NAMES = ("torus", "mesh", "fattree", "star", "crossbar")
-ENGINE_NAMES = ("heap", "flat")
+
+#: ``(field, rendered value)`` lines :meth:`Scenario.scenario_digest`
+#: still hashes for fields that no longer exist.  ``engine`` chose between
+#: two digest-identical event cores until the second core was deleted;
+#: hashing its only surviving value keeps every scenario digest — and so
+#: every cache key and pinned explore scorecard — byte-identical.
+_RETIRED_DIGEST_LINES = (("engine", "'heap'"),)
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -138,7 +143,6 @@ class Scenario:
     # -- execution -----------------------------------------------------
     seed: int = 0
     backend: str | None = None
-    engine: str = "heap"
     shards: int = 1
     shard_transport: str | None = None
     jobs: int = 1
@@ -183,16 +187,11 @@ class Scenario:
                 f"unknown topology {self.topology!r} "
                 f"(choose from {', '.join(TOPOLOGY_NAMES)})"
             )
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r} "
-                f"(choose from {', '.join(ENGINE_NAMES)})"
-            )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shard_transport not in (None, "fork", "inline", "shm"):
+        if self.shard_transport not in (None, "fork", "inline"):
             raise ConfigurationError(
                 f"unknown shard transport {self.shard_transport!r}"
             )
@@ -296,8 +295,8 @@ class Scenario:
     def scenario_digest(self) -> str:
         """Stable sha256 fingerprint of the spec (floats via ``float.hex``
         — two scenarios digest equal iff every field is identical)."""
-        h = hashlib.sha256()
-        for f in sorted(fields(self), key=lambda f: f.name):
+        lines = list(_RETIRED_DIGEST_LINES)
+        for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float):
                 rendered = value.hex()
@@ -305,7 +304,10 @@ class Scenario:
                 rendered = "x".join(str(v) for v in value)
             else:
                 rendered = repr(value)
-            h.update(f"{f.name}={rendered}\n".encode())
+            lines.append((f.name, rendered))
+        h = hashlib.sha256()
+        for name, rendered in sorted(lines):
+            h.update(f"{name}={rendered}\n".encode())
         return h.hexdigest()
 
     # ------------------------------------------------------------------
@@ -322,7 +324,6 @@ class Scenario:
             implied = {
                 "sharded-fork": "fork",
                 "sharded-inline": "inline",
-                "sharded-shm": "shm",
             }.get(self.backend)
             if (
                 self.shard_transport is not None
@@ -338,8 +339,6 @@ class Scenario:
             return "serial"
         if self.shard_transport == "inline":
             return "sharded-inline"
-        if self.shard_transport == "shm":
-            return "sharded-shm"
         return "sharded-fork"
 
     def make_strategy(self):

@@ -67,7 +67,6 @@ class TestCacheKey:
         assert cache_key(SMALL.with_(shards=4, shard_transport="fork")) == base
         assert cache_key(SMALL.with_(shards=2, shard_transport="inline")) == base
         assert cache_key(SMALL.with_(jobs=8)) == base
-        assert cache_key(SMALL.with_(backend="sharded-shm", shards=2)) == base
         # trace_out implies observe=True (payload-relevant), so it shares
         # the *observed* entry, not the bare one — the path itself is
         # normalized out.
@@ -84,7 +83,6 @@ class TestCacheKey:
         assert cache_key(SMALL.with_(interval=20)) != base
         assert cache_key(SMALL.with_(ranks=16)) != base
         assert cache_key(SMALL.with_(failures="2@100s")) != base
-        assert cache_key(SMALL.with_(engine="flat")) != base
 
     def test_payload_relevant_instrumentation_stays_in_key(self):
         # observe/trace_detail/check change what the blob must contain.
@@ -509,3 +507,49 @@ def test_concurrent_writers_one_directory(tmp_path):
     assert cache.verify() == []
     warm = run_scenario(SMALL.with_(seed=4), cache=cache)
     assert warm.metadata.get("cache_hit") is True
+
+
+def _flaky_connect(monkeypatch, failures: int) -> dict:
+    """Make the next ``failures`` WAL switches report SQLITE_BUSY, as they
+    do when another process is creating the same database (SQLite skips
+    the busy handler for that mode change)."""
+    real_connect = sqlite3.connect
+    left = {"n": failures}
+
+    class Flaky:
+        def __init__(self, conn):
+            self._conn = conn
+
+        def execute(self, sql, *args):
+            if "journal_mode" in sql and left["n"] > 0:
+                left["n"] -= 1
+                raise sqlite3.OperationalError("database is locked")
+            return self._conn.execute(sql, *args)
+
+        def __getattr__(self, name):
+            return getattr(self._conn, name)
+
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *a, **kw: Flaky(real_connect(*a, **kw))
+    )
+    return left
+
+
+def test_first_open_lock_is_retried(tmp_path, monkeypatch):
+    left = _flaky_connect(monkeypatch, failures=3)
+    cache = ResultCache(tmp_path / "c")
+    assert left["n"] == 0
+    assert cache.disabled_reason is None
+    _fill(cache)
+    assert run_scenario(SMALL, cache=cache).metadata.get("cache_hit") is True
+
+
+def test_lock_outlasting_retries_never_disables(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.cache.store._OPEN_RETRY_S", 0.02)
+    left = _flaky_connect(monkeypatch, failures=10**6)
+    cache = ResultCache(tmp_path / "c")
+    assert cache.disabled_reason is None
+    left["n"] = 0  # the lock clears: the next use opens the store
+    _fill(cache)
+    assert cache.stats.stores == 1
+    assert run_scenario(SMALL, cache=cache).metadata.get("cache_hit") is True

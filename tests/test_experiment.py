@@ -154,3 +154,50 @@ class TestReports:
         cells = [Table2Cell(6000.0, 500, 5251.0, 7882.0, 1, 3941.0)]
         out = render_table2(cells, compare_paper=False)
         assert "paper" not in out
+
+
+class TestTable2Pinned:
+    """The 512-rank Table II that EXPERIMENTS.md reports, pinned bit for
+    bit (``float.hex``): any change to the event core, the MPI layer, the
+    timing models or the restart loop that moves a virtual-time result
+    shows up here first."""
+
+    #: (mttf, interval) -> (E1, E2, F, MTTF_a) at seed 0.
+    EXPECTED = {
+        (None, 1000): ("0x1.48040691ea5ccp+12", None, 0, None),
+        (6000.0, 500): (
+            "0x1.482eea4ebda93p+12", "0x1.ec067f023e749p+12", 1,
+            "0x1.ec067f023e749p+11",
+        ),
+        (6000.0, 250): (
+            "0x1.4884b1c864527p+12", "0x1.9a70c15d2ccbdp+12", 1,
+            "0x1.9a70c15d2ccbdp+11",
+        ),
+        (6000.0, 125): (
+            "0x1.493040bbb1a49p+12", "0x1.72268dc11df4fp+12", 1,
+            "0x1.72268dc11df4fp+11",
+        ),
+        (3000.0, 500): (
+            "0x1.482eea4ebda93p+12", "0x1.483f0f2d7f7ffp+13", 2,
+            "0x1.b5a96991ff554p+11",
+        ),
+        (3000.0, 250): (
+            "0x1.4884b1c864527p+12", "0x1.ec5cd0f1f5452p+12", 2,
+            "0x1.483de0a14e2e1p+11",
+        ),
+        (3000.0, 125): (
+            "0x1.493040bbb1a49p+12", "0x1.9b1cdac68a356p+12", 2,
+            "0x1.12133c845c239p+11",
+        ),
+    }
+
+    def test_512_rank_table_is_bit_identical(self):
+        from repro.core.harness.experiment import run_table2
+
+        hexed = lambda v: None if v is None else v.hex()  # noqa: E731
+        cells = run_table2(Table2Config(nranks=512, jobs=2))
+        got = {
+            (c.mttf, c.interval): (hexed(c.e1), hexed(c.e2), c.f, hexed(c.mttf_a))
+            for c in cells
+        }
+        assert got == self.EXPECTED

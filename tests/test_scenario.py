@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.explore import load_explore_file
 from repro.run import (
     XSIM_ENV_VARS,
     AttachedInstruments,
@@ -27,6 +28,7 @@ from repro.util.errors import ConfigurationError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def tiny(**overrides) -> Scenario:
@@ -82,6 +84,9 @@ class TestResolutionPrecedence:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario field"):
             Scenario.resolve(use_environment=False, rank_count=8)
+        # The retired event-core selector is unknown, not ignored.
+        with pytest.raises(ConfigurationError, match="unknown scenario field"):
+            Scenario.resolve(use_environment=False, engine="flat")
 
     def test_flags_scenario_equals_toml_scenario(self, tmp_path):
         """A scenario built from CLI-style kwargs equals one from the
@@ -105,14 +110,15 @@ class TestResolutionPrecedence:
 
     def test_shard_transport_from_environment(self):
         s = Scenario.resolve(
-            environ={"XSIM_SHARDS": "2", "XSIM_SHARD_TRANSPORT": "shm"}
+            environ={"XSIM_SHARDS": "2", "XSIM_SHARD_TRANSPORT": "inline"}
         )
-        assert s.shard_transport == "shm"
-        assert s.backend_name() == "sharded-shm"
+        assert s.shard_transport == "inline"
+        assert s.backend_name() == "sharded-inline"
 
     def test_bad_env_transport_rejected(self):
-        with pytest.raises(ConfigurationError, match="XSIM_SHARD_TRANSPORT"):
-            Scenario.resolve(environ={"XSIM_SHARD_TRANSPORT": "morse"})
+        for transport in ("morse", "shm"):
+            with pytest.raises(ConfigurationError, match="XSIM_SHARD_TRANSPORT"):
+                Scenario.resolve(environ={"XSIM_SHARD_TRANSPORT": transport})
 
 
 # ----------------------------------------------------------------------
@@ -137,11 +143,46 @@ class TestSerialization:
     def test_digest_changes_with_any_field(self):
         assert tiny().scenario_digest() != tiny(seed=1).scenario_digest()
 
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda: Scenario(),
+                "9aa39df03a7b3fd126e166c6062f1ab2f158e496e2eab80f37a591406e6718c4",
+            ),
+            (
+                lambda: load_explore_file(
+                    EXAMPLES / "explore_reference.toml", use_environment=False
+                ).scenario,
+                "b7d0b6e357a816dfcf882fd0c2f74e75560792c844055f1a62021aab23d367e1",
+            ),
+            (
+                lambda: Scenario(ranks=512, mttf=6000.0, interval=500),
+                "83618768685af8a032113c15acef728a8a5dda2b5f971b1132767710c4431057",
+            ),
+            (
+                lambda: Scenario(
+                    shards=2, shard_transport="inline", failures="3@100s",
+                    strategy="ckpt-multilevel", strategy_params={"k": 4},
+                ),
+                "7482b2ff274cac915e06e22810ccb10f8d634396ff1b2fac191d0c6a28323c90",
+            ),
+        ],
+        ids=["default", "explore-reference", "table2-cell", "sharded-multilevel"],
+    )
+    def test_digest_is_pinned(self, make, digest):
+        """Scenario digests are cache keys and are embedded in the pinned
+        explore scorecard: removing or renaming a field must not move
+        them (retired fields keep hashing their last value)."""
+        assert make().scenario_digest() == digest
+
     def test_unknown_table_and_key_rejected(self):
         with pytest.raises(ConfigurationError, match=r"unknown scenario table"):
             Scenario.from_toml("[wardrobe]\nnarnia = true\n")
         with pytest.raises(ConfigurationError, match="machine.rank_count"):
             Scenario.from_toml("[machine]\nrank_count = 8\n")
+        with pytest.raises(ConfigurationError, match="execution.engine"):
+            Scenario.from_toml('[execution]\nengine = "flat"\n')
 
     def test_trace_out_implies_observe(self):
         assert tiny(trace_out="t.json").observe is True
@@ -169,7 +210,7 @@ class TestSerialization:
 class TestBackends:
     def test_registry_names(self):
         assert set(backend_names()) == {
-            "serial", "sharded-inline", "sharded-fork", "sharded-shm",
+            "serial", "sharded-inline", "sharded-fork",
         }
 
     def test_unknown_backend_rejected(self):
@@ -180,12 +221,13 @@ class TestBackends:
         assert tiny().backend_name() == "serial"
         assert tiny(shards=2).backend_name() == "sharded-fork"
         assert tiny(shards=2, shard_transport="inline").backend_name() == "sharded-inline"
-        assert tiny(shards=2, shard_transport="shm").backend_name() == "sharded-shm"
         assert tiny(backend="serial").backend_name() == "serial"
 
     def test_unknown_transport_rejected_at_resolution(self):
-        with pytest.raises(ConfigurationError, match="unknown shard transport"):
-            tiny(shards=2, shard_transport="carrier-pigeon")
+        # "shm" names a deleted transport: rejected, never silently rerouted.
+        for transport in ("carrier-pigeon", "shm"):
+            with pytest.raises(ConfigurationError, match="unknown shard transport"):
+                tiny(shards=2, shard_transport=transport)
 
     def test_backend_transport_conflict(self):
         with pytest.raises(ConfigurationError, match="conflicts"):
@@ -277,9 +319,8 @@ class TestCappedShards:
         import repro.run.backends as backends
 
         monkeypatch.setattr(backends.os, "cpu_count", lambda: None)
-        for transport in ("fork", "shm"):
-            assert capped_shards(4, jobs=1, transport=transport) == 1
-            assert capped_shards(4, jobs=3, transport=transport) == 1
+        assert capped_shards(4, jobs=1, transport="fork") == 1
+        assert capped_shards(4, jobs=3, transport="fork") == 1
         assert "oversubscribe" in capsys.readouterr().err
         # The inline transport needs no extra processes, so it is exempt.
         assert capped_shards(4, jobs=3, transport="inline") == 4

@@ -15,9 +15,7 @@ import math
 import multiprocessing as mp
 import os
 import pickle
-import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +28,6 @@ from repro.core.harness.experiment import result_digest
 from repro.core.restart import RestartDriver
 from repro.core.simulator import XSim
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN
-from repro.mpi.messages import EAGER, RTS
 from repro.pdes.sharded import (
     ShardWorker,
     derive_lookahead,
@@ -38,7 +35,6 @@ from repro.pdes.sharded import (
     partition_ranks,
     partition_ranks_topology,
 )
-from repro.pdes.shmring import RingPeerDead, ShmRing, pack_envelope, unpack_envelope
 from repro.util.errors import ConfigurationError, ShardWorkerDied
 
 NRANKS = 16
@@ -196,7 +192,6 @@ class TestLookaheadMatrix:
         [
             "inline",
             pytest.param("fork", marks=fork_required),
-            pytest.param("shm", marks=fork_required),
         ],
     )
     @pytest.mark.parametrize("scheme", ["matrix", "global"])
@@ -260,88 +255,11 @@ class TestTopologyPartition:
         assert result_digest(sharded) == result_digest(serial)
 
 
-class TestShmRing:
-    """The SPSC shared-memory ring and the packed envelope codec."""
-
-    def test_records_round_trip_through_wraparound(self):
-        ring = ShmRing(capacity=64)
-        try:
-            for i in range(40):  # total bytes written >> capacity
-                payload = bytes([i % 251]) * (i % 23)
-                ring.write(payload)
-                assert ring.read() == payload
-        finally:
-            ring.destroy()
-
-    def test_record_larger_than_capacity_streams(self):
-        ring = ShmRing(capacity=64)
-        blob = os.urandom(1500)
-        try:
-            writer = threading.Thread(target=ring.write, args=(blob,))
-            writer.start()
-            out = ring.read()
-            writer.join()
-            assert out == blob
-        finally:
-            ring.destroy()
-
-    def test_blocked_read_detects_dead_peer(self):
-        ring = ShmRing(capacity=64)
-        try:
-            with pytest.raises(RingPeerDead):
-                ring.read(alive=lambda: False)
-        finally:
-            ring.destroy()
-
-    PAYLOADS = [
-        None,
-        True,
-        False,
-        7,
-        -(1 << 62),
-        1 << 80,  # beyond i64: pickle fallback
-        3.141592653589793,
-        b"\x00raw bytes\xff",
-        "unicodé ☃",
-        np.arange(6, dtype=np.float64).reshape(2, 3),
-        np.array([1, -2, 3], dtype=np.int32),
-        np.array(2.5),  # 0-d array
-        {"pickle": ["fallback", 1]},
-    ]
-
-    @pytest.mark.parametrize(
-        "payload", PAYLOADS, ids=[f"p{i}" for i in range(len(PAYLOADS))]
-    )
-    def test_eager_envelope_round_trips_exactly(self, payload):
-        env = ("a", 1.5, 0, 3, 4, 7, 64, payload, (0.25, 3, 9), EAGER, None)
-        out = unpack_envelope(pack_envelope(env))
-        assert out[:7] == env[:7]
-        assert out[8:] == env[8:]
-        got = out[7]
-        if isinstance(payload, np.ndarray):
-            assert isinstance(got, np.ndarray)
-            assert got.dtype == payload.dtype
-            assert got.shape == payload.shape
-            assert np.array_equal(got, payload)
-            assert got.flags.writeable  # serial path hands out a copy
-        else:
-            assert type(got) is type(payload)
-            assert got == payload
-
-    def test_rts_envelope_keeps_protocol_and_req_id(self):
-        env = ("a", 2.25, 1, 8, 9, 42, 1 << 20, None, (2.0, 8, 77), RTS, 12)
-        assert unpack_envelope(pack_envelope(env)) == env
-
-    def test_rendezvous_completion_round_trips(self):
-        env = ("r", 5, 42, 1.25)
-        assert unpack_envelope(pack_envelope(env)) == env
-
-
 @fork_required
 class TestWorkerLiveness:
     """A dying worker must raise ShardWorkerDied, not hang the run."""
 
-    @pytest.mark.parametrize("transport", ["fork", "shm"])
+    @pytest.mark.parametrize("transport", ["fork"])
     def test_dead_worker_is_detected_and_named(self, transport, monkeypatch):
         original = ShardWorker.run_window
 
@@ -360,9 +278,9 @@ class TestWorkerLiveness:
 
 
 class TestTransportFallback:
-    """fork/shm on a fork-less host: fall back loudly, never silently."""
+    """fork on a fork-less host: fall back loudly, never silently."""
 
-    @pytest.mark.parametrize("requested", ["fork", "shm"])
+    @pytest.mark.parametrize("requested", ["fork"])
     def test_fallback_is_surfaced_once_everywhere(
         self, serial_digests, monkeypatch, requested
     ):

@@ -287,7 +287,6 @@ class TestDifferentialHarness:
             "sharded-parity",
             "obs-parity",
             "scenario-parity",
-            "flat-parity",
             "cache-parity",
         ]
         failed = [r for r in results if not r.passed]
