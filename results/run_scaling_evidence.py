@@ -1,19 +1,22 @@
 """Fallback full-scale evidence: paper-exact E1 column at 32,768 ranks
 (row-by-row logging), plus the complete table at 8,192 ranks."""
 import time
+from pathlib import Path
 
-from repro.core.checkpoint.store import CheckpointStore
-from repro.core.harness.experiment import Table2Config, measure_e1, run_table2
+from repro.core.harness.experiment import Table2Config, run_table2
 from repro.core.harness.report import render_table2
+from repro.run.backends import run_scenario
+from repro.run.scenario import Scenario
 
-log = open("/root/repo/results/plan_b.txt", "w", buffering=1)
+log = open(Path(__file__).with_name("plan_b.txt"), "w", buffering=1)
 
-cfg = Table2Config(nranks=32768)
-system = cfg.system()
 log.write("E1 at the paper-exact 32,768 ranks:\n")
 for interval in (1000, 500, 250, 125):
     t0 = time.time()
-    e1 = measure_e1(system, cfg.workload(interval))
+    outcome = run_scenario(Scenario(ranks=32768, app="heat3d", interval=interval))
+    if not outcome.completed:
+        raise RuntimeError(f"E1 run at C={interval} did not complete")
+    e1 = outcome.last_result.exit_time
     log.write(f"  C={interval:>4}: E1 = {e1:,.1f} s   (host {time.time()-t0:.0f} s)\n")
 
 log.write("\nFull table at 8,192 ranks:\n")

@@ -20,7 +20,6 @@ from repro.core.harness.experiment import (
     Table2Cell,
     Table2Config,
     run_table2,
-    run_table2_row,
 )
 from repro.core.harness.report import format_table, render_table2
 from repro.core.harness.serialize import (
@@ -40,7 +39,6 @@ __all__ = [
     "format_table",
     "render_table2",
     "run_table2",
-    "run_table2_row",
     "failure_run_record",
     "simulation_result_record",
     "table2_records",

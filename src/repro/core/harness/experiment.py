@@ -1,11 +1,11 @@
 """Experiment drivers regenerating the paper's evaluation.
 
-* :func:`run_table2` / :func:`run_table2_row` — Table II ("Varying the
-  checkpoint interval and system MTTF"): the heat application at a given
-  scale, checkpoint interval C in {500, 250, 125} (plus the C=1000
-  baseline), system MTTF in {6000 s, 3000 s}; columns E1 (simulated
-  execution time without failures), E2 (with failures and restarts), F
-  (activated failures), MTTF_a = E2/(F+1).
+* :func:`run_table2` — Table II ("Varying the checkpoint interval and
+  system MTTF"): the heat application at a given scale, checkpoint
+  interval C in {500, 250, 125} (plus the C=1000 baseline), system MTTF
+  in {6000 s, 3000 s}; columns E1 (simulated execution time without
+  failures), E2 (with failures and restarts), F (activated failures),
+  MTTF_a = E2/(F+1).
 * :func:`observe_failure_mode` — the §V-D "First Impressions"
   observations: where a failure injected into a given phase is *detected*
   (halo exchange vs. barrier) and what it leaves behind in the checkpoint
@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Any
 from repro.core.checkpoint.store import CheckpointStore
 from repro.core.faults.schedule import FailureSchedule
 from repro.core.harness.config import SystemConfig
-from repro.core.restart import FailureRunResult, RestartDriver
 from repro.core.simulator import XSim
 from repro.pdes.engine import SimulationResult
 
@@ -77,9 +76,10 @@ class Table2Config:
     minutes of host time); the default benchmarks use a scaled machine.
     ``seed`` drives the per-segment random failure draws; the experiment
     is fully deterministic for a given seed, like the original simulator.
-    ``row_seeds`` defaults to the calibration that reproduces the paper's
-    activated-failure counts (F column) at the default 512-rank scale —
-    the paper likewise reports one deterministic draw per row.
+    ``row_seed_offsets`` defaults to the calibration that reproduces the
+    paper's activated-failure counts (F column) at the default 512-rank
+    scale with ``seed=0`` — the paper likewise reports one deterministic
+    draw per row.  Offsets add to ``seed``, so every seed moves every row.
     """
 
     nranks: int = 512
@@ -88,8 +88,8 @@ class Table2Config:
     baseline_interval: int = 1000
     iterations: int = 1000
     seed: int = 0
-    #: Per-(mttf, interval) seed overrides (see class docstring).
-    row_seeds: dict[tuple[float, int], int] = field(
+    #: Per-(mttf, interval) seed offsets (see class docstring).
+    row_seed_offsets: dict[tuple[float, int], int] = field(
         default_factory=lambda: {(3000.0, 500): 5}
     )
     #: Worker processes for the sweep (1 = in-process serial; every cell
@@ -98,19 +98,7 @@ class Table2Config:
 
     def cell_seed(self, mttf: float, interval: int) -> int:
         """Effective failure-draw seed of one (mttf, interval) cell."""
-        return self.row_seeds.get((mttf, interval), self.seed)
-
-    def system(self, **overrides: Any) -> SystemConfig:
-        """The paper's machine at this configuration's scale."""
-        return SystemConfig.paper_system(nranks=self.nranks, **overrides)
-
-    def workload(self, interval: int) -> "HeatConfig":
-        """The heat workload at this scale and checkpoint interval."""
-        from repro.apps.heat3d import HeatConfig
-
-        return HeatConfig.paper_workload(
-            checkpoint_interval=interval, nranks=self.nranks, iterations=self.iterations
-        )
+        return self.seed + self.row_seed_offsets.get((mttf, interval), 0)
 
 
 def result_digest(result: SimulationResult) -> str:
@@ -170,108 +158,62 @@ def campaign_digest(values: Any) -> str:
     return h.hexdigest()
 
 
-def measure_e1(system: SystemConfig, workload: "HeatConfig", seed: int = 0) -> float:
-    """Simulated execution time without failures (one clean run)."""
-    from repro.apps.heat3d import heat3d
-
-    sim = XSim(system, seed=seed)
-    result = sim.run(heat3d, args=(workload, CheckpointStore()))
-    if not result.completed:
-        raise RuntimeError("E1 run did not complete")
-    return result.exit_time
-
-
-def run_table2_row(
-    cfg: Table2Config,
-    interval: int,
-    mttf: float | None,
-    e1: float | None = None,
-    system: SystemConfig | None = None,
-) -> tuple[Table2Cell, FailureRunResult | None]:
-    """Measure one row; ``e1`` may be passed in to avoid re-measuring."""
-    system = system if system is not None else cfg.system()
-    workload = cfg.workload(interval)
-    if e1 is None:
-        e1 = measure_e1(system, workload, seed=cfg.seed)
-    if mttf is None:
-        return Table2Cell(None, interval, e1, None, 0, None), None
-    from repro.apps.heat3d import heat3d
-
-    seed = cfg.cell_seed(mttf, interval)
-    driver = RestartDriver(
-        system,
-        heat3d,
-        make_args=lambda store: (workload, store),
-        mttf=mttf,
-        seed=seed,
-    )
-    run = driver.run()
-    cell = Table2Cell(
-        mttf=mttf, interval=interval, e1=e1, e2=run.e2, f=run.f, mttf_a=run.mttf_a
-    )
-    return cell, run
-
-
 def run_table2(cfg: Table2Config) -> list[Table2Cell]:
     """Measure the full table: baseline row, then MTTF x interval rows.
 
-    The baseline/per-interval E1 runs and every (mttf, interval) cell are
-    mutually independent deterministic runs, so the sweep routes through
-    :class:`~repro.core.harness.parallel.CampaignExecutor`: with
-    ``cfg.jobs > 1`` the cells fan out over worker processes and the
-    measured table is identical to the serial sweep.
+    Table II is a grid of independent deterministic
+    :class:`~repro.run.scenario.Scenario` runs: one fault-free heat3d
+    twin per distinct checkpoint interval (its exit time is that
+    interval's E1) and one restart cell per (mttf, interval).  They run
+    as one :func:`~repro.run.sweep.run_cells` campaign, so with
+    ``cfg.jobs > 1`` they fan out over worker processes and, under the
+    ``XSIM_CACHE`` policy, are served from the result cache; the table
+    is identical either way.
     """
-    from repro.core.harness.parallel import CampaignExecutor, RunSpec
+    from repro.run.scenario import Scenario
+    from repro.run.sweep import run_cells
 
     e1_intervals: list[int] = [cfg.baseline_interval]
     for interval in cfg.intervals:
         if interval not in e1_intervals:
             e1_intervals.append(interval)
-    specs = [
-        RunSpec(
-            "table2-e1",
-            key=("e1", interval),
-            params={
-                "nranks": cfg.nranks,
-                "interval": interval,
-                "iterations": cfg.iterations,
-                "seed": cfg.seed,
-            },
+    cell_keys = [(mttf, interval) for mttf in cfg.mttfs for interval in cfg.intervals]
+    twins = [
+        Scenario(
+            ranks=cfg.nranks,
+            app="heat3d",
+            iterations=cfg.iterations,
+            interval=interval,
+            seed=cfg.seed,
         )
         for interval in e1_intervals
     ]
-    cell_keys = [(mttf, interval) for mttf in cfg.mttfs for interval in cfg.intervals]
-    specs.extend(
-        RunSpec(
-            "table2-cell",
-            key=("cell", mttf, interval),
-            params={
-                "nranks": cfg.nranks,
-                "interval": interval,
-                "iterations": cfg.iterations,
-                "mttf": mttf,
-                "seed": cfg.cell_seed(mttf, interval),
-            },
-        )
+    by_interval = dict(zip(e1_intervals, twins))
+    cells = [
+        by_interval[interval].with_(mttf=mttf, seed=cfg.cell_seed(mttf, interval))
         for mttf, interval in cell_keys
-    )
-    results = CampaignExecutor(max_workers=cfg.jobs).run(specs)
-    e1 = dict(zip(e1_intervals, results[: len(e1_intervals)]))
-    cells: list[Table2Cell] = [
-        Table2Cell(None, cfg.baseline_interval, e1[cfg.baseline_interval], None, 0, None)
     ]
-    for (mttf, interval), outcome in zip(cell_keys, results[len(e1_intervals):]):
-        cells.append(
+    summaries = run_cells(twins + cells, jobs=cfg.jobs, key_prefix="table2")
+    for scenario, summary in zip(twins + cells, summaries):
+        if not summary["completed"]:
+            raise RuntimeError(
+                f"Table II run (C={scenario.interval}, MTTF={scenario.mttf}) "
+                "did not complete"
+            )
+    e1 = {interval: s["exit_time"] for interval, s in zip(e1_intervals, summaries)}
+    table = [Table2Cell(None, cfg.baseline_interval, e1[cfg.baseline_interval], None, 0, None)]
+    for (mttf, interval), summary in zip(cell_keys, summaries[len(twins):]):
+        table.append(
             Table2Cell(
                 mttf=mttf,
                 interval=interval,
                 e1=e1[interval],
-                e2=outcome["e2"],
-                f=outcome["f"],
-                mttf_a=outcome["mttf_a"],
+                e2=summary["e2"],
+                f=summary["failures"],
+                mttf_a=summary["mttf_a"],
             )
         )
-    return cells
+    return table
 
 
 # ----------------------------------------------------------------------

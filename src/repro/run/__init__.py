@@ -55,7 +55,7 @@ from repro.run.instruments import (
     make_shard_observer,
 )
 from repro.run.scenario import Scenario, load_scenario_file, parse_dims
-from repro.run.sweep import expand_matrix, parse_set, run_sweep, sweep_specs
+from repro.run.sweep import expand_matrix, parse_set, run_sweep
 
 __all__ = [
     "BACKENDS",
@@ -80,5 +80,4 @@ __all__ = [
     "register_backend",
     "run_scenario",
     "run_sweep",
-    "sweep_specs",
 ]

@@ -9,9 +9,8 @@ from repro.core.harness.experiment import (
     Table2Cell,
     Table2Config,
     classify_detection_phase,
-    measure_e1,
     observe_failure_mode,
-    run_table2_row,
+    run_table2,
 )
 from repro.core.harness.report import format_table, render_table2
 
@@ -32,41 +31,74 @@ class TestPaperReference:
             assert mttf_a == pytest.approx(e2 / (f + 1), abs=1.0)
 
 
-class TestRunRows:
-    def test_measure_e1_completes(self):
-        system = TINY.system()
-        wl = TINY.workload(50)
-        e1 = measure_e1(system, wl)
-        # 100 iterations x 4096 points x 1.28 us x 1000 ~ 524 s + phases
-        assert e1 == pytest.approx(524.3, rel=0.05)
+@pytest.fixture(scope="module")
+def tiny_table():
+    return run_table2(TINY)
 
-    def test_baseline_row(self):
-        cell, run = run_table2_row(TINY, 100, None)
-        assert run is None
+
+def _row(cells, mttf, interval):
+    (cell,) = [c for c in cells if (c.mttf, c.interval) == (mttf, interval)]
+    return cell
+
+
+class TestRunRows:
+    def test_e1_of_a_clean_run(self, tiny_table):
+        # 100 iterations x 4096 points x 1.28 us x 1000 ~ 524 s + phases
+        assert _row(tiny_table, 600.0, 50).e1 == pytest.approx(524.3, rel=0.05)
+
+    def test_baseline_row(self, tiny_table):
+        cell = tiny_table[0]
+        assert (cell.mttf, cell.interval) == (None, TINY.baseline_interval)
         assert cell.e2 is None
         assert cell.f == 0
+        assert cell.mttf_a is None
 
-    def test_failure_row_invariants(self):
-        cell, run = run_table2_row(TINY, 25, 600.0)
-        assert run is not None
-        assert run.completed
+    def test_failure_row_invariants(self, tiny_table):
+        # run_table2 raises for a run that did not complete, so a row
+        # here is a completed restart loop.
+        cell = _row(tiny_table, 600.0, 25)
+        assert cell.e2 is not None
         assert cell.e2 >= cell.e1 or cell.f == 0
         if cell.f > 0:
             assert cell.mttf_a == pytest.approx(cell.e2 / (cell.f + 1))
 
-    def test_rows_deterministic(self):
-        c1, _ = run_table2_row(TINY, 25, 600.0)
-        c2, _ = run_table2_row(TINY, 25, 600.0)
-        assert c1 == c2
+    def test_rows_deterministic(self, tiny_table):
+        assert run_table2(TINY) == tiny_table
 
     def test_shorter_interval_smaller_e2_under_failures(self):
         """The paper's headline observation, at test scale: with failures
         present, a shorter checkpoint interval reduces E2."""
-        cfg = Table2Config(nranks=27, iterations=100, seed=1)
-        long_c, _ = run_table2_row(cfg, 100, 300.0)
-        short_c, _ = run_table2_row(cfg, 20, 300.0)
+        cfg = Table2Config(
+            nranks=27, iterations=100, seed=1, intervals=(100, 20), mttfs=(300.0,)
+        )
+        cells = run_table2(cfg)
+        long_c, short_c = _row(cells, 300.0, 100), _row(cells, 300.0, 20)
         if long_c.f > 0 and short_c.f > 0:
             assert short_c.e2 < long_c.e2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_row_seed_offset_follows_the_seed(self, seed):
+        cfg = Table2Config(seed=seed)
+        assert cfg.cell_seed(3000.0, 500) == seed + 5
+        for mttf in cfg.mttfs:
+            for interval in cfg.intervals:
+                if (mttf, interval) != (3000.0, 500):
+                    assert cfg.cell_seed(mttf, interval) == seed
+
+    def test_warm_rerun_is_served_from_the_cache(self, monkeypatch, tmp_path):
+        from repro.cache import open_cache
+
+        monkeypatch.setenv("XSIM_CACHE", "1")
+        monkeypatch.setenv("XSIM_CACHE_DIR", str(tmp_path))
+        cold = run_table2(TINY)
+        stats = open_cache(tmp_path).stats
+        before = (stats.lookups, stats.hits, stats.stores)
+        warm = run_table2(TINY)
+        after = (stats.lookups, stats.hits, stats.stores)
+        # 3 fault-free E1 twins (C = 1000, 50, 25) + 2 restart cells
+        assert [b - a for a, b in zip(before, after)] == [5, 5, 0]
+        monkeypatch.delenv("XSIM_CACHE")
+        assert warm == cold == run_table2(TINY)
 
 
 class TestFailureModes:

@@ -194,49 +194,20 @@ class TestCampaignDeterminism:
 
 
 class TestCampaignTasks:
-    def test_soft_error_trial_task(self):
-        outcome = run_spec(
-            RunSpec(
-                "soft-error-trial",
-                params={
-                    "nranks": 8,
-                    "interval": 100,
-                    "iterations": 100,
-                    "rate_per_rank": 0.0005,
-                    "horizon": 2000.0,
-                    "seed": 3,
-                },
-            )
-        )
-        assert outcome["scheduled_flips"] >= 0
-        assert set(outcome["counts"]) == {"crash", "sdc", "benign", "no-target"}
-        assert outcome["exit_time"] > 0.0
+    def test_registry_holds_the_three_campaign_kinds(self):
+        from repro.core.harness.parallel import _TASKS
 
-    def test_sweep_e1_task_reacts_to_overrides(self):
+        product = {k for k in _TASKS if not k.startswith("test-")}
+        assert product == {"selftest", "scenario", "finject-victim"}
+
+    def test_scenario_cells_react_to_machine_parameters(self):
         # A slower machine (2x slowdown) must lengthen the simulated run;
-        # this proves the overrides reach the worker's SystemConfig.
-        base = run_spec(
-            RunSpec(
-                "sweep-e1",
-                params={
-                    "nranks": 8,
-                    "interval": 100,
-                    "iterations": 100,
-                    "seed": 0,
-                    "system_overrides": {},
-                },
-            )
+        # this proves the scenario's machine fields reach the worker.
+        from repro.run.scenario import Scenario
+        from repro.run.sweep import run_cells
+
+        base = Scenario(ranks=8, app="heat3d", iterations=100, interval=100)
+        fast, slowed = run_cells(
+            [base.with_(slowdown=1000.0), base.with_(slowdown=2000.0)], cache=False
         )
-        slowed = run_spec(
-            RunSpec(
-                "sweep-e1",
-                params={
-                    "nranks": 8,
-                    "interval": 100,
-                    "iterations": 100,
-                    "seed": 0,
-                    "system_overrides": {"slowdown": 2000.0},
-                },
-            )
-        )
-        assert slowed > base * 1.5
+        assert slowed["exit_time"] > fast["exit_time"] * 1.5

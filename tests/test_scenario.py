@@ -168,7 +168,7 @@ class TestSerialization:
                 "7482b2ff274cac915e06e22810ccb10f8d634396ff1b2fac191d0c6a28323c90",
             ),
         ],
-        ids=["default", "explore-reference", "table2-cell", "sharded-multilevel"],
+        ids=["default", "explore-reference", "table2-restart-cell", "sharded-multilevel"],
     )
     def test_digest_is_pinned(self, make, digest):
         """Scenario digests are cache keys and are embedded in the pinned
