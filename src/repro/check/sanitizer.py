@@ -8,7 +8,7 @@ posts, matches, buffers, fails, and synchronizes.  Each hook enforces the
 invariants the conservative-PDES / MPI-matching design promises:
 
 * **heap-pop ordering** — dispatched ``(time, seq)`` pairs never go
-  backwards (the event queue is a min-heap over exactly that order);
+  backwards (the event queue dispatches in exactly that order);
 * **per-VP clock monotonicity** — a virtual process clock never decreases
   across control points;
 * **non-overtaking delivery** — matching a buffered message never skips an

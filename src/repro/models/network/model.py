@@ -24,12 +24,11 @@ programming model is assumed.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from repro.models.network.topology import Topology
+from repro.models.network.topology import Topology, _GridTopology
 from repro.util.errors import ConfigurationError
 from repro.util.units import parse_rate, parse_size, parse_time
 
@@ -92,6 +91,12 @@ class NetworkModel:
     congestion_factor:
         Multiplier (>= 1) applied to payload transfer times, a coarse knob
         for modeling background congestion in ablation studies.
+
+    The cost methods ``tier(src, dst)``, ``hops(src, dst)``,
+    ``wire_latency(src, dst)``, ``transfer_time(nbytes, src, dst)``,
+    ``serialization_time(nbytes, src, dst)`` and
+    ``detection_timeout(src, dst)`` are closures bound per instance by
+    :meth:`_install_caches`.
     """
 
     def __init__(
@@ -139,56 +144,139 @@ class NetworkModel:
         self.congestion_factor = congestion_factor
         self._install_caches()
 
-    #: Cost methods shadowed by per-instance LRU caches, with cache sizes.
-    _CACHED_METHODS = (
-        ("tier", 1 << 17),
-        ("hops", 1 << 17),
-        ("wire_latency", 1 << 17),
-        ("transfer_time", 1 << 16),
-        ("serialization_time", 1 << 16),
-        ("detection_timeout", 1 << 16),
-    )
+    #: Entries of the one memo kept on :meth:`transfer_time` (see
+    #: :meth:`_install_caches`).
+    TRANSFER_CACHE_SIZE = 1 << 16
 
     def _install_caches(self) -> None:
-        """Shadow the pure cost methods with per-instance LRU caches.
+        """Bind the cost methods as closed-form closures.
 
-        The cost inputs (topology, tier parameters, placement, congestion)
-        are fixed after construction, so every cost method is a pure
-        function of its rank/size arguments; the torus hop computation and
-        the tier dispatch dominate the simulated MPI layer's per-message
-        cost otherwise.  Mutating cost parameters afterwards (tests only)
-        requires calling :meth:`invalidate_caches`.
+        ``tier``, ``hops``, ``wire_latency``, ``transfer_time``,
+        ``serialization_time`` and ``detection_timeout`` are instance
+        attributes set here, not class methods.  Each closure captures the
+        cost inputs (tier parameters, placement, congestion, topology) as
+        plain values, so a cost query is one Python call.  On grid
+        topologies the hop count is the wrapped per-axis distance computed
+        inline from the ``(stride, dim)`` pairs; other topologies answer
+        through their own :meth:`Topology.hops`.  Every method raises
+        :class:`ConfigurationError` for a rank outside the machine.
 
-        Each cache binds the *class* function to a cycle-free snapshot of
-        the model's state, never to ``self``: a ``lru_cache`` around the
-        bound method ``self.method`` stored back onto ``self`` would
-        strongly reference the instance from its own attribute, forming a
-        cycle that keeps the model — and up to 2^17 cached cost tuples —
-        alive until a *cyclic* gc pass.  The engine disables gc during
-        runs and campaigns build one model per task, so those cycles
-        previously accumulated into an unbounded memory ramp.  The
-        snapshot (a shallow copy sharing the immutable parameter objects)
-        holds no reference back to the instance, so a dropped model frees
-        by reference count alone.
+        The closures never reference ``self``: a function stored on the
+        instance that refers back to it forms a cycle only a cyclic gc
+        pass can free, and the engine disables gc during runs while
+        campaigns build one model per task.  A dropped model therefore
+        frees by reference count alone.
+
+        ``transfer_time`` keeps a bounded ``lru_cache``; its
+        ``cache_info()`` is the hit ratio the benchmark's tracer reports.
+        The inputs are read once, here: mutating cost parameters
+        afterwards (tests only) requires calling :meth:`invalidate_caches`.
         """
-        state = copy.copy(self)
-        for name, _size in self._CACHED_METHODS:
-            # Drop wrappers a previous install left on the copied __dict__.
-            state.__dict__.pop(name, None)
-        cls = type(self)
-        for name, size in self._CACHED_METHODS:
-            func = getattr(cls, name)
-            setattr(self, name, lru_cache(maxsize=size)(partial(func, state)))
+        topology = self.topology
+        nranks = self.max_ranks()
+        rpn = self.ranks_per_node
+        rpc = self.ranks_per_chip
+        congestion = self.congestion_factor
+        # Per-tier values indexed by level: 0 system, 1 on-node, 2 on-chip.
+        tiers = (NetworkTier.SYSTEM, NetworkTier.ON_NODE, NetworkTier.ON_CHIP)
+        params = (self.system, self.on_node, self.on_chip)
+        latencies = tuple(p.latency for p in params)
+        bandwidths = tuple(p.bandwidth for p in params)
+        timeouts = tuple(p.detection_timeout for p in params)
+        sys_lat, node_lat, chip_lat = latencies
+        sys_bw, node_bw, chip_bw = bandwidths
+
+        if isinstance(topology, _GridTopology):
+            axes = tuple(zip(topology._strides, topology.dims))
+            wrap = topology.wrap
+
+            def node_hops(a: int, b: int) -> int:
+                total = 0
+                for stride, dim in axes:
+                    d = (a // stride) % dim - (b // stride) % dim
+                    if d < 0:
+                        d = -d
+                    if wrap and dim - d < d:
+                        d = dim - d
+                    total += d
+                return total
+
+        else:
+            node_hops = topology.hops
+
+        def outside(src: int, dst: int) -> None:
+            raise ConfigurationError(
+                f"rank pair ({src}, {dst}) outside the machine's {nranks} ranks"
+            )
+
+        def level(src: int, dst: int) -> int:
+            if not (0 <= src < nranks and 0 <= dst < nranks):
+                outside(src, dst)
+            if src // rpn != dst // rpn:
+                return 0
+            return 2 if src // rpc == dst // rpc else 1
+
+        def tier(src: int, dst: int) -> NetworkTier:
+            """Which network a ``src -> dst`` message crosses."""
+            return tiers[level(src, dst)]
+
+        def hops(src: int, dst: int) -> int:
+            """Routed system-network hops between the ranks' nodes (0
+            intra-node)."""
+            if level(src, dst):
+                return 0
+            return node_hops(src // rpn, dst // rpn)
+
+        def wire_latency(src: int, dst: int) -> float:
+            """End-to-end latency of a minimal (zero-payload) packet."""
+            i = level(src, dst)
+            if i:
+                return latencies[i]
+            return sys_lat * max(1, node_hops(src // rpn, dst // rpn))
+
+        def transfer_time(nbytes: int, src: int, dst: int) -> float:
+            """Wire time of a ``nbytes`` payload from ``src`` to ``dst``
+            (latency plus serialization, excluding CPU software
+            overheads)."""
+            if nbytes < 0:
+                raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
+            if not (0 <= src < nranks and 0 <= dst < nranks):
+                outside(src, dst)
+            a = src // rpn
+            b = dst // rpn
+            if a != b:
+                return sys_lat * max(1, node_hops(a, b)) + congestion * nbytes / sys_bw
+            if src // rpc == dst // rpc:
+                return chip_lat + congestion * nbytes / chip_bw
+            return node_lat + congestion * nbytes / node_bw
+
+        def serialization_time(nbytes: int, src: int, dst: int) -> float:
+            """Time the payload occupies the sender's injection link
+            (transfer time minus the wire latency) — what a rendezvous
+            sender pays after the clear-to-send arrives."""
+            if nbytes < 0:
+                raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
+            return congestion * nbytes / bandwidths[level(src, dst)]
+
+        def detection_timeout(src: int, dst: int) -> float:
+            """Failure-detection timeout of the tier a ``src <-> dst``
+            communication uses."""
+            return timeouts[level(src, dst)]
+
+        self.tier = tier
+        self.hops = hops
+        self.wire_latency = wire_latency
+        self.transfer_time = lru_cache(maxsize=self.TRANSFER_CACHE_SIZE)(transfer_time)
+        self.serialization_time = serialization_time
+        self.detection_timeout = detection_timeout
 
     def invalidate_caches(self) -> None:
-        """Drop all memoized cost results (after mutating cost parameters).
-
-        Rebuilds the caches against a fresh state snapshot, so parameter
-        mutations made on the instance take effect."""
+        """Re-read the cost parameters (after mutating them) and drop the
+        memoized transfer times."""
         self._install_caches()
 
     # ------------------------------------------------------------------
-    # placement
+    # placement and protocol
     # ------------------------------------------------------------------
     def node_of(self, rank: int) -> int:
         """Compute node hosting ``rank`` (block placement)."""
@@ -198,61 +286,6 @@ class NetworkModel:
         """Largest rank count this model's machine can host."""
         return self.topology.nnodes * self.ranks_per_node
 
-    def tier(self, src: int, dst: int) -> NetworkTier:
-        """Which network a ``src -> dst`` message crosses."""
-        if self.node_of(src) != self.node_of(dst):
-            return NetworkTier.SYSTEM
-        if src // self.ranks_per_chip == dst // self.ranks_per_chip:
-            return NetworkTier.ON_CHIP
-        return NetworkTier.ON_NODE
-
-    def _params(self, tier: NetworkTier) -> TierParams:
-        if tier is NetworkTier.SYSTEM:
-            return self.system
-        if tier is NetworkTier.ON_NODE:
-            return self.on_node
-        return self.on_chip
-
-    # ------------------------------------------------------------------
-    # protocol and timing
-    # ------------------------------------------------------------------
     def is_eager(self, nbytes: int) -> bool:
         """True when ``nbytes`` is sent with the eager protocol."""
         return nbytes <= self.eager_threshold
-
-    def hops(self, src: int, dst: int) -> int:
-        """Routed system-network hops between the ranks' nodes (0 intra-node)."""
-        a, b = self.node_of(src), self.node_of(dst)
-        if a == b:
-            return 0
-        return self.topology.hops(a, b)
-
-    def wire_latency(self, src: int, dst: int) -> float:
-        """End-to-end latency of a minimal (zero-payload) packet."""
-        tier = self.tier(src, dst)
-        p = self._params(tier)
-        if tier is NetworkTier.SYSTEM:
-            return p.latency * max(1, self.hops(src, dst))
-        return p.latency
-
-    def transfer_time(self, nbytes: int, src: int, dst: int) -> float:
-        """Wire time of a ``nbytes`` payload from ``src`` to ``dst``
-        (latency plus serialization, excluding CPU software overheads)."""
-        if nbytes < 0:
-            raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
-        p = self._params(self.tier(src, dst))
-        return self.wire_latency(src, dst) + self.congestion_factor * nbytes / p.bandwidth
-
-    def serialization_time(self, nbytes: int, src: int, dst: int) -> float:
-        """Time the payload occupies the sender's injection link (transfer
-        time minus the wire latency) — what a rendezvous sender pays after
-        the clear-to-send arrives."""
-        if nbytes < 0:
-            raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
-        p = self._params(self.tier(src, dst))
-        return self.congestion_factor * nbytes / p.bandwidth
-
-    def detection_timeout(self, src: int, dst: int) -> float:
-        """Failure-detection timeout of the tier a ``src <-> dst``
-        communication uses."""
-        return self._params(self.tier(src, dst)).detection_timeout

@@ -50,7 +50,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, ERR_PROC_FAILED, ERR_REVOKE
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN, MpiError
 from repro.mpi.group import Group
 from repro.mpi.messages import EAGER, RTS, Msg, Request
-from repro.pdes.context import LIVE_STATES, VirtualProcess
+from repro.pdes.context import _ABORTED, _DONE, _FAILED, VirtualProcess
 from repro.pdes.engine import Engine
 from repro.pdes.requests import Advance, Block
 from repro.util.errors import ConfigurationError, SimulationError
@@ -601,7 +601,8 @@ class MpiWorld:
     def _arrive(self, msg: Msg) -> None:
         """Delivery event: the message reached the destination NIC."""
         state = self.states[msg.dst]
-        if state.vp.state not in LIVE_STATES:
+        vp_state = state.vp.state  # inline of VirtualProcess.alive
+        if vp_state is _DONE or vp_state is _FAILED or vp_state is _ABORTED:
             # "all messages directed to this simulated MPI process are deleted"
             if self.trace is not None:
                 self.trace.record_delivery(msg.seq, self.engine.now, dropped=True)

@@ -34,8 +34,8 @@ class VpState(enum.Enum):
     """Terminated by a simulated ``MPI_Abort``."""
 
 
-#: States in which the VP still has a live coroutine.
-LIVE_STATES = frozenset({VpState.READY, VpState.RUNNING, VpState.ADVANCING, VpState.BLOCKED})
+#: The terminal states: a VP in any other state has a live coroutine.
+_DONE, _FAILED, _ABORTED = VpState.DONE, VpState.FAILED, VpState.ABORTED
 
 
 class VirtualProcess:
@@ -88,7 +88,12 @@ class VirtualProcess:
 
     @property
     def alive(self) -> bool:
-        return self.state in LIVE_STATES
+        """Whether the VP still has a live coroutine (it is not DONE,
+        FAILED or ABORTED).  Identity tests: ``in`` on a set of states
+        would hash the member through the Python-level ``Enum.__hash__``
+        on every call."""
+        state = self.state
+        return state is not _DONE and state is not _FAILED and state is not _ABORTED
 
     def snapshot(self) -> dict[str, Any]:
         """Compact state dump for diagnostics (simcheck violation reports)."""

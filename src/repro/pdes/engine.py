@@ -12,8 +12,8 @@ Execution model (paper §IV-A, reproduced exactly):
 * "Context switches between simulated MPI processes are only performed upon
   receiving an MPI message, receiving a simulator-internal message, or
   termination" — i.e. at those yields.  The engine interleaves VPs from a
-  single binary-heap event queue ordered by virtual time ("a schedule based
-  on message receive time stamps").
+  single event queue ordered by virtual time ("a schedule based on message
+  receive time stamps"), then by scheduling order.
 
 Failure activation (paper §IV-B): each VP has a ``time_of_failure``
 (infinity = never).  "A scheduled simulated MPI process failure is activated
@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import gc
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, nsmallest
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Any, Callable, Generator
 
 from repro.pdes.context import VirtualProcess, VpState
@@ -97,7 +99,7 @@ class Engine:
         Structured simulator log; a fresh one is created when omitted.
     coalesce_advances:
         When True (default), an Advance whose resume time precedes every
-        queued event is taken inline instead of going through the heap.
+        queued event is taken inline instead of going through the queue.
         The resume is still a full control point (clock update, failure
         and abort checks) and still counts as an event, so results and
         ``event_count`` are identical to the un-coalesced path; the knob
@@ -124,7 +126,7 @@ class Engine:
         self.event_count = 0
         #: Queued events dropped at dispatch because their VP died first.
         self.stale_skipped = 0
-        #: Advance resumes taken inline without a heap round-trip.
+        #: Advance resumes taken inline without a queue round-trip.
         self.coalesced_advances = 0
         #: Upper bound (exclusive) on inline-coalesced resume times.  The
         #: serial run leaves it at infinity; the sharded engine caps it at
@@ -159,14 +161,21 @@ class Engine:
         #: (paper: "returning from main() or calling exit() without having
         #: called MPI_Finalize()" is a failure-injection condition).
         self.exit_policy: Callable[[VirtualProcess], str] | None = None
-        # Heap entries are (time, seq, guard_vp, guard_epoch, fn, args).
+        # The event queue is time-bucketed: a heap of the distinct queued
+        # timestamps, plus a dict from each timestamp to its events in
+        # scheduling order.  Dispatch order is (time, seq), exactly as a
+        # binary heap of (time, seq, ...) tuples would give, but SPMD ranks
+        # move in lockstep, so most events share their timestamp with many
+        # others: the heap stays as deep as the number of distinct times,
+        # not of queued events.  A bucket holding one event stores the
+        # entry bare; a second event at the same time turns it into a
+        # deque.  Entries are (seq, guard_vp, guard_epoch, fn, args).
         # guard_vp is None for unguarded events; otherwise the event is
         # dropped at dispatch when guard_vp.epoch no longer matches
         # guard_epoch (the VP died or finished), so dead-VP callbacks never
         # pay the dispatch + callback-side staleness check.
-        self._heap: list[
-            tuple[float, int, VirtualProcess | None, int, Callable[..., None], tuple]
-        ] = []
+        self._times: list[float] = []
+        self._buckets: dict[float, tuple | deque[tuple]] = {}
         self._seq = 0
         self._live = 0
         self._ran = False
@@ -204,7 +213,48 @@ class Engine:
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past ({time} < {self.now})")
         self._seq += 1
-        heappush(self._heap, (time, self._seq, None, 0, fn, args))
+        self._push(time, (self._seq, None, 0, fn, args))
+
+    def _push(self, time: float, entry: tuple) -> None:
+        """Queue ``entry`` behind every event already queued at ``time``."""
+        buckets = self._buckets
+        bucket = buckets.get(time)
+        if bucket is None:
+            buckets[time] = entry
+            heappush(self._times, time)
+        elif type(bucket) is tuple:
+            buckets[time] = deque((bucket, entry))
+        else:
+            bucket.append(entry)
+
+    def _pop(self) -> tuple[float, tuple]:
+        """Dequeue the earliest event as ``(time, entry)``.  :meth:`run`
+        inlines this; a bucket leaves the queue with its last event,
+        so the queue holds exactly the events not yet dequeued."""
+        times = self._times
+        time = times[0]
+        entry = self._buckets[time]
+        if type(entry) is tuple:
+            heappop(times)
+            del self._buckets[time]
+        else:
+            bucket = entry
+            entry = bucket.popleft()
+            if not bucket:
+                heappop(times)
+                del self._buckets[time]
+        return time, entry
+
+    def _queued(self):
+        """Every queued ``(time, entry)`` in dispatch order (diagnostics
+        and shard setup only: it sorts the timestamps)."""
+        for time in sorted(self._times):
+            bucket = self._buckets[time]
+            if type(bucket) is tuple:
+                yield time, bucket
+            else:
+                for entry in bucket:
+                    yield time, entry
 
     def _schedule_vp(
         self, time: float, vp: VirtualProcess, fn: Callable[..., None], *args: Any
@@ -215,36 +265,36 @@ class Engine:
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past ({time} < {self.now})")
         self._seq += 1
-        heappush(self._heap, (time, self._seq, vp, vp.epoch, fn, args))
+        self._push(time, (self._seq, vp, vp.epoch, fn, args))
 
     def post_event(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` at ``time`` — the unguarded single-payload
         fast path (per-message deliveries).  Callers validate ``time``
         against their own clock; no past-check is repeated here.  Exists
-        as a method (rather than the callers pushing heap tuples inline)
+        as a method (rather than the callers queueing entries inline)
         so alternative event cores can intercept every scheduling path.
         """
         self._seq += 1
-        heappush(self._heap, (time, self._seq, None, 0, fn, (arg,)))
+        self._push(time, (self._seq, None, 0, fn, (arg,)))
 
     def queue_size(self) -> int:
         """Number of queued (possibly stale) events."""
-        return len(self._heap)
+        return sum(
+            1 if type(bucket) is tuple else len(bucket) for bucket in self._buckets.values()
+        )
 
     def heap_head(self, n: int = 20) -> list[dict[str, Any]]:
         """The ``n`` earliest queued events as diagnostic records (the
         sanitizer's dump snapshot) — core-representation independent."""
-        out = []
-        for time, seq, gvp, _, fn, _args in nsmallest(n, self._heap):
-            out.append(
-                {
-                    "time": time,
-                    "seq": seq,
-                    "rank": None if gvp is None else gvp.rank,
-                    "fn": fn.__name__,
-                }
-            )
-        return out
+        return [
+            {
+                "time": time,
+                "seq": seq,
+                "rank": None if gvp is None else gvp.rank,
+                "fn": fn.__name__,
+            }
+            for time, (seq, gvp, _, fn, _args) in islice(self._queued(), n)
+        ]
 
     def mark_phase(self, label: str) -> None:
         """Record a named phase boundary for profiling.
@@ -265,9 +315,10 @@ class Engine:
         if self._ran:
             raise SimulationError("Engine.run() may only be called once")
         self._ran = True
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         pop = heappop
-        # The event loop allocates only short-lived, acyclic objects (heap
+        # The event loop allocates only short-lived, acyclic objects (event
         # tuples, messages, requests) that reference counting reclaims on
         # its own; cyclic-GC passes over the live heap are pure overhead
         # (~10% of run time at 512 VPs), so collection is deferred to the
@@ -284,8 +335,19 @@ class Engine:
             # dead VPs are dropped) and draining gives the serial run the
             # same event accounting as a sharded run, where no worker can
             # observe the global live-VP count.
-            while heap:
-                time, seq, gvp, gepoch, fn, args = pop(heap)
+            while times:
+                time = times[0]  # inline of _pop
+                entry = buckets[time]
+                if type(entry) is tuple:
+                    pop(times)
+                    del buckets[time]
+                else:
+                    bucket = entry
+                    entry = bucket.popleft()
+                    if not bucket:
+                        pop(times)
+                        del buckets[time]
+                seq, gvp, gepoch, fn, args = entry
                 if self._pending_abort is not None and time > self._pending_abort:
                     self._apply_abort_sweep()
                 if gvp is not None and gvp.epoch != gepoch:
@@ -337,18 +399,22 @@ class Engine:
         Stale (dead-VP) heads are pruned here so the reported time is a
         true lower bound on the shard's next dispatch.
         """
-        heap = self._heap
-        while heap:
-            if heap[0][2] is not None and heap[0][2].epoch != heap[0][3]:
-                heappop(heap)
+        times = self._times
+        while times:
+            time = times[0]
+            head = self._buckets[time]
+            if type(head) is not tuple:
+                head = head[0]
+            if head[1] is not None and head[1].epoch != head[2]:
+                self._pop()
                 self.stale_skipped += 1
                 continue
-            return heap[0][0]
+            return time
         return math.inf
 
     def _dispatch_bounded(self, bound: float, inclusive: bool) -> None:
-        heap = self._heap
-        pop = heappop
+        times = self._times
+        pop = self._pop
         trace = self.event_trace
         check = self.check
         try:
@@ -357,10 +423,10 @@ class Engine:
             # a cross-shard envelope (another shard may react to the message
             # and send something back as early as its receive time plus the
             # lookahead — events beyond that are no longer safe).
-            while heap and (
-                heap[0][0] <= bound if inclusive else heap[0][0] < self._window_end
+            while times and (
+                times[0] <= bound if inclusive else times[0] < self._window_end
             ):
-                time, seq, gvp, gepoch, fn, args = pop(heap)
+                time, (seq, gvp, gepoch, fn, args) = pop()
                 if self._pending_abort is not None and time > self._pending_abort:
                     self._apply_abort_sweep()
                 if gvp is not None and gvp.epoch != gepoch:
@@ -417,7 +483,7 @@ class Engine:
         its coroutine is closed, and its state is pinned to BLOCKED so the
         message-delivery and matching paths still see it as *alive* — the
         owning shard decides its fate and broadcasts it as a directive.
-        The heap is rebuilt dropping the now-stale guarded entries and any
+        The queue is rebuilt dropping the now-stale guarded entries and any
         unguarded injected-delay events addressed to non-owned ranks (an
         unguarded event would otherwise fire — and be counted — in every
         shard).
@@ -434,16 +500,19 @@ class Engine:
                 gen.close()
                 vp.gen = None
         delay_due = self._delay_due
-        self._heap = [
-            e
-            for e in self._heap
+        kept = [
+            (time, e)
+            for time, e in self._queued()
             if (
-                e[2].epoch == e[3]
-                if e[2] is not None
-                else not (e[4] == delay_due and e[5][0] not in owned)
+                e[1].epoch == e[2]
+                if e[1] is not None
+                else not (e[3] == delay_due and e[4][0] not in owned)
             )
         ]
-        heapify(self._heap)
+        self._times.clear()
+        self._buckets.clear()
+        for time, e in kept:  # re-queued in dispatch order: FIFO per time holds
+            self._push(time, e)
 
     def _result(self) -> SimulationResult:
         timing = TimingStats()
@@ -486,7 +555,7 @@ class Engine:
         vp.state = VpState.RUNNING
         gen = vp.gen
         send = gen.send
-        heap = self._heap
+        times = self._times
         coalesce = self.coalesce_advances
         window_end = self._window_end
         while True:
@@ -527,12 +596,12 @@ class Engine:
                 if item.busy:
                     vp.busy_time += dt
                 new_clock = vp.clock + dt
-                if coalesce and new_clock < window_end and (not heap or heap[0][0] > new_clock):
+                if coalesce and new_clock < window_end and (not times or times[0] > new_clock):
                     # No other event can fire strictly before this VP's
                     # resume (strict > keeps equal-time FIFO order intact),
                     # so take the control point inline: same clock update,
                     # failure/abort checks, and event accounting as
-                    # _resume_advance, minus the heap round-trip.
+                    # _resume_advance, minus the queue round-trip.
                     if self.event_trace is not None:
                         self.event_trace.record_coalesced(new_clock, vp.rank)
                     if self.check is not None:
@@ -551,13 +620,13 @@ class Engine:
                         return
                     continue
                 vp.state = VpState.ADVANCING
-                # Inline of _schedule_vp; the past-check is unnecessary
+                # _schedule_vp without the past-check, which is unnecessary
                 # here because new_clock = vp.clock + dt with dt > 0 and
                 # vp.clock >= self.now inside a step.
                 self._seq += 1
-                heappush(
-                    heap,
-                    (new_clock, self._seq, vp, vp.epoch, self._resume_advance, (vp, vp.epoch, new_clock)),
+                self._push(
+                    new_clock,
+                    (self._seq, vp, vp.epoch, self._resume_advance, (vp, vp.epoch, new_clock)),
                 )
                 return
             if kind is Block:
@@ -760,7 +829,7 @@ class Engine:
         instant*: every event already due at exactly ``time`` still
         dispatches normally, then the kill sweep runs before the clock
         advances past ``time``.  This makes the outcome a function of the
-        event *times* alone rather than of heap insertion order among
+        event *times* alone rather than of queue insertion order among
         same-instant events — the property the sharded engine
         (:mod:`repro.pdes.sharded`) relies on to reproduce aborts
         bit-identically, since shards do not share a global sequence

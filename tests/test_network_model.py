@@ -128,7 +128,8 @@ class TestPerInstanceCaches:
     forms an instance -> cache -> bound-method -> instance cycle that only
     a cyclic gc pass can break; the engine disables gc during runs, so a
     campaign constructing one model per task used to ramp memory without
-    bound.  The caches now reach the instance through a weak reference.
+    bound.  The installed cost closures capture parameter values, never
+    the instance.
     """
 
     def test_model_collected_without_cyclic_gc(self):
@@ -168,15 +169,6 @@ class TestPerInstanceCaches:
         finally:
             gc.enable()
 
-    def test_cached_results_match_uncached(self):
-        net = paper_net()
-        raw = type(net)
-        assert net.tier(0, 1) is raw.tier(net, 0, 1)
-        assert net.hops(0, 500) == raw.hops(net, 0, 500)
-        assert net.transfer_time(8192, 0, 500) == pytest.approx(
-            raw.transfer_time(net, 8192, 0, 500)
-        )
-
     def test_invalidate_caches_picks_up_mutation(self):
         net = paper_net()
         before = net.transfer_time(1 << 20, 0, 1)
@@ -185,9 +177,44 @@ class TestPerInstanceCaches:
         net.invalidate_caches()
         assert net.transfer_time(1 << 20, 0, 1) > before
 
-    def test_cache_info_available(self):
+
+class TestTracerContract:
+    """The benchmark's tracer wraps ``NetworkModel._install_caches`` from
+    outside the library and reads the installed ``transfer_time``'s
+    ``cache_info()`` for the hit ratio it reports."""
+
+    def test_install_hook_is_a_class_attribute(self):
+        assert callable(NetworkModel.__dict__["_install_caches"])
+
+    def test_wrapped_install_sees_every_model(self, monkeypatch):
+        install = NetworkModel.__dict__["_install_caches"]
+        calls = []
+
+        def traced_install(self):
+            install(self)
+            lru = self.__dict__["transfer_time"]
+
+            def timed(*args):
+                calls.append(args)
+                return lru(*args)
+
+            timed.lru = lru
+            self.transfer_time = timed
+
+        monkeypatch.setattr(NetworkModel, "_install_caches", traced_install)
         net = paper_net()
-        net.tier(0, 1)
-        net.tier(0, 1)
-        info = net.tier.cache_info()
-        assert info.hits >= 1 and info.misses >= 1
+        net.transfer_time(64, 0, 1)
+        net.transfer_time(64, 0, 1)
+        assert calls == [(64, 0, 1), (64, 0, 1)]
+        assert net.transfer_time.lru.cache_info().hits == 1
+
+    def test_transfer_time_cache_counts_hits(self):
+        net = paper_net()
+        before = net.transfer_time.cache_info()
+        assert (before.hits, before.misses) == (0, 0)
+        first = net.transfer_time(4096, 0, 500)
+        assert net.transfer_time(4096, 0, 500) == first
+        net.transfer_time(4096, 0, 501)
+        info = net.transfer_time.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        assert info.maxsize == NetworkModel.TRANSFER_CACHE_SIZE
