@@ -4,34 +4,24 @@ xSim's headline capability is oversubscription — running orders of
 magnitude more simulated MPI ranks than host cores (up to 2^27 on a
 960-core cluster).  The laptop-scale equivalent claim for this
 reproduction: simulated-rank count scales to tens of thousands on one
-host process, with near-linear host cost per simulated event — and, since
-the sharded conservative-parallel engine, one large run also speeds up
-with host cores.
+host process, with near-linear host cost per simulated event.
 
 The measurements live in :mod:`repro.core.harness.bench` (shared with the
 ``xsim-run bench`` subcommand); this module adds the regression
-assertions.  Both tests merge their records into ``BENCH_pdes.json`` at
+assertions.  The test merges its record into ``BENCH_pdes.json`` at
 the repository root, which CI uploads as an artifact so throughput
 regressions are visible across commits.
 """
 
-import os
-
 from repro.core.harness.bench import (
     PAIRED_AB_512,
     SCALES,
-    measure_sharded,
     merge_bench,
     run_scaling,
     scaling_record,
 )
 
 from benchmarks._util import once, report
-
-#: The sharded comparison's scale: the acceptance target is >= 1.8x at
-#: 4096 ranks on 4 cores.
-SHARDED_RANKS = 4096
-SHARDED_SHARDS = 4
 
 
 def test_vp_count_scaling(benchmark):
@@ -62,64 +52,6 @@ def test_vp_count_scaling(benchmark):
     # virtual time stays at the workload's operating point at every scale
     for r in results.values():
         assert abs(r["e1"] - 5248.0) / 5248.0 < 0.05
-
-
-def test_sharded_speedup(benchmark):
-    """Serial vs ``shards=4`` on one 4096-rank simulation.
-
-    Headline scenario: tree collectives, where the partition's critical
-    path genuinely shrinks.  A linear-collective run is recorded alongside
-    as a co-design observation — the rank-0-rooted linear barrier
-    serializes O(nranks) releases and caps any parallel engine (Amdahl)
-    regardless of shard count.
-
-    On hosts with fewer cores than shards only the critical-path
-    projection is asserted (see the bench module docstring for why it is
-    an honest lower-bound figure); the wall-clock assertion arms when the
-    cores exist.
-    """
-    rec = once(
-        benchmark,
-        lambda: measure_sharded(
-            nranks=SHARDED_RANKS,
-            shards=SHARDED_SHARDS,
-            collective_algorithm="tree",
-        ),
-    )
-    # Secondary record: the linear-collective bottleneck, inline only (its
-    # fork run is slow on small hosts and adds no information).
-    linear = measure_sharded(
-        nranks=SHARDED_RANKS,
-        shards=SHARDED_SHARDS,
-        collective_algorithm="linear",
-        transports=("inline",),
-    )
-    merge_bench({"sharded": rec, "sharded_linear_collectives": linear})
-
-    report("", f"=== Sharded engine: serial vs {SHARDED_SHARDS} shards at "
-           f"{SHARDED_RANKS} ranks (tree collectives) ===")
-    for t, r in rec["transports"].items():
-        report(f"  {t:<7}: wall {r['wall_s']:.3f}s ({r['speedup_wall']:.2f}x), "
-               f"critical path {r['critical_path_s']:.3f}s, "
-               f"{r['windows']:,} windows, imbalance {r['imbalance']:.2f}")
-    report(f"  serial {rec['serial_s']:.3f}s; projected speedup on >= "
-           f"{SHARDED_SHARDS} cores: {rec['projected_speedup']:.2f}x "
-           f"(host has {rec['host_cpus']} CPUs); linear collectives project "
-           f"{linear['projected_speedup']:.2f}x (barrier-root Amdahl)")
-
-    inline = rec["transports"]["inline"]
-    # The partition is balanced and genuinely parallel.
-    assert inline["imbalance"] < 1.25
-    assert inline["parallelism"] > 2.0
-    # Acceptance target: >= 1.8x at 4096 ranks on 4 cores.  The projection
-    # (serial / critical path) is what a 4-core host's wall clock would
-    # show and is measurable on any host.
-    assert rec["projected_speedup"] >= 1.8
-    if (os.cpu_count() or 1) >= SHARDED_SHARDS:
-        assert rec["speedup_wall"] >= 1.5
-    # Hot-path floor: sharding must not burn host work — total worker busy
-    # time stays within 2x of the serial run.
-    assert inline["worker_busy_s"] < 2.0 * rec["serial_s"]
 
 
 # Re-exported for external readers of the historical record (these frozen

@@ -110,8 +110,8 @@ def cacheable(scenario: "Scenario") -> bool:
 def cache_key(scenario: "Scenario") -> str:
     """Content address of a scenario's *result*.
 
-    Execution-parallelism fields (backend, shards, shard transport, the
-    campaign ``jobs`` width) and the trace destination path are
+    Execution-parallelism fields (backend, shards, the campaign ``jobs``
+    width) and the trace destination path are
     normalized out before digesting: the simcheck parity harness
     enforces that they never change the result, so a cell computed
     serially must hit for the same cell requested on a sharded backend —
@@ -120,9 +120,7 @@ def cache_key(scenario: "Scenario") -> str:
     the instrumentation switches that change the cached payload
     (``observe``, ``trace_detail``, ``check``) stay in the key.
     """
-    normalized = scenario.with_(
-        backend=None, shards=1, shard_transport=None, jobs=1, trace_out=""
-    )
+    normalized = scenario.with_(backend=None, shards=1, jobs=1, trace_out="")
     h = hashlib.sha256()
     h.update(cache_salt().encode())
     h.update(b"\n")

@@ -316,10 +316,9 @@ def check_sharded_parity(
     promises bit-identical *per-rank* event sequences (global interleaving
     and seq numbers legitimately differ across shards — see
     :meth:`~repro.check.trace.EventTrace.rank_projection`).  Checks the
-    in-process transport's trace projection against serial, then the
-    forked-worker transport's result digest, both with a mid-run injected
-    failure so the resilience envelope path (failure broadcast, detection,
-    abort) is exercised.
+    trace projection and the result digest against serial, with a mid-run
+    injected failure so the resilience envelope path (failure broadcast,
+    detection, abort) is exercised.
 
     Runs under the paper's timing model: its nonzero per-message software
     overheads serialize same-instant activity at a rank, which is part of
@@ -349,7 +348,6 @@ def check_sharded_parity(
         failure=failure,
         record_events=True,
         shards=shards,
-        shard_transport="inline",
         paper_timing=True,
     )
     divergence = serial_sim.event_trace.diff_ranks(sharded_sim.event_trace)
@@ -357,7 +355,7 @@ def check_sharded_parity(
         return CheckResult(
             "sharded-parity",
             False,
-            "per-rank trace diverges from serial (inline transport)",
+            "per-rank trace diverges from serial",
             artifacts={
                 "sharded-divergence.txt": divergence,
                 "sharded-digests.txt": (
@@ -371,29 +369,13 @@ def check_sharded_parity(
         return CheckResult(
             "sharded-parity",
             False,
-            f"inline-shard digest {d_sharded} != serial {d_serial}",
-        )
-    _, forked = _heat_sim(
-        nranks,
-        iterations,
-        10,
-        failure=failure,
-        shards=shards,
-        shard_transport="fork",
-        paper_timing=True,
-    )
-    d_forked = result_digest(forked)
-    if d_forked != d_serial:
-        return CheckResult(
-            "sharded-parity",
-            False,
-            f"fork-shard digest {d_forked} != serial {d_serial}",
+            f"sharded digest {d_sharded} != serial {d_serial}",
         )
     return CheckResult(
         "sharded-parity",
         True,
         f"{shards} shards == serial at {nranks} ranks with injected failure "
-        f"({serial.event_count} events; inline trace + fork digest)",
+        f"({serial.event_count} events; trace + digest)",
     )
 
 
@@ -425,7 +407,6 @@ def check_obs_parity(
         paper_timing=True,
         observe=True,
         shards=shards,
-        shard_transport="inline",
     )
     chrome_s, chrome_p = to_chrome(serial_sim.observer), to_chrome(sharded_sim.observer)
     jsonl_s, jsonl_p = to_jsonl(serial_sim.observer), to_jsonl(sharded_sim.observer)
@@ -496,13 +477,7 @@ def check_scenario_parity(
         )
     digests: dict[str, str] = {}
     for name in backend_names():
-        scenario = round_tripped.with_(
-            shards=1 if name == "serial" else shards,
-            shard_transport={
-                "sharded-inline": "inline",
-                "sharded-fork": "fork",
-            }.get(name),
-        )
+        scenario = round_tripped.with_(shards=1 if name == "serial" else shards)
         digests[name] = run_scenario(scenario).digest()
     if len(set(digests.values())) != 1:
         return CheckResult(
@@ -558,7 +533,7 @@ def check_cache_parity(
         failures=f"{nranks // 3}@{0.4 * clean.exit_time}s",
         observe=True,
     )
-    sharded = base.with_(shards=shards, shard_transport="inline")
+    sharded = base.with_(shards=shards)
     if cache_key(sharded) != cache_key(base):
         return CheckResult(
             "cache-parity",

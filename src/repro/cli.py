@@ -14,16 +14,18 @@ Subcommands::
     xsim-run table1  # Finject bit-flip campaign (paper Table I)
     xsim-run table2  --ranks 512  # checkpoint-interval x MTTF sweep
     xsim-run arch    --ranks 32768  # architecture self-description (Fig. 1)
-    xsim-run bench   # PDES throughput + sharded speedup -> BENCH_pdes.json
+    xsim-run bench   # PDES throughput + result cache -> BENCH_pdes.json
     xsim-run simcheck  # differential determinism harness (see repro.check)
 
 Every ``app``/``arch``/``sweep`` invocation resolves one
 :class:`~repro.run.scenario.Scenario` through the layered precedence
 chain — library defaults < ``--scenario`` TOML file < ``XSIM_*``
-environment < explicit flags — and executes it on its registered backend
-(``serial``, ``sharded-inline``, ``sharded-fork``; pick
-with ``--shards`` / ``--shard-transport`` or the scenario's ``execution``
-table).  Results and traces are bit-identical across backends.
+environment < explicit flags — and executes it on its registered backend:
+``serial``, or ``sharded-inline`` when ``--shards`` (or the scenario's
+``execution`` table) asks for more than one shard.  The sharded backend
+runs the conservative windowed protocol in this one process.  Results and
+traces are bit-identical across backends.  Independent runs use more
+cores through ``-j`` (``sweep``, ``table1``, ``table2``, ``explore``).
 
 Debugging aids on ``app``: ``--check`` enables the runtime invariant
 sanitizer (equivalent to ``XSIM_CHECK=1``); ``--record-trace FILE`` saves
@@ -46,7 +48,7 @@ from repro.core.harness.parallel import default_jobs
 from repro.core.harness.report import format_table, render_table2
 from repro.core.simulator import XSim
 from repro.resilience import strategy_names
-from repro.run.backends import capped_shards, run_scenario  # noqa: F401 - capped_shards re-exported
+from repro.run.backends import run_scenario
 from repro.run.scenario import APP_NAMES, Scenario, load_scenario_file, parse_dims
 from repro.run.sweep import parse_set, run_sweep
 from repro.util.errors import ConfigurationError
@@ -108,18 +110,9 @@ def _add_shards_args(p: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=None,
-        help="partition the simulated ranks across N conservative-parallel "
-        "engine shards (default: XSIM_SHARDS or 1); the event trace is "
-        "bit-identical to a serial run",
-    )
-    p.add_argument(
-        "--shard-transport",
-        choices=["fork", "inline"],
-        default=None,
-        help="shard worker transport (default: XSIM_SHARD_TRANSPORT or fork): "
-        "fork (one process per shard, pickled pipes) or inline (all shards "
-        "in-process — same schedule, for debugging and single-core hosts); "
-        "results are bit-identical across both",
+        help="partition the simulated ranks across N conservative windowed "
+        "engine shards, run in this process (default: XSIM_SHARDS or 1); "
+        "the event trace is bit-identical to a serial run",
     )
 
 
@@ -200,7 +193,6 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
         collectives=getattr(args, "collectives", None),
         seed=getattr(args, "seed", None),
         shards=getattr(args, "shards", None),
-        shard_transport=getattr(args, "shard_transport", None),
         app=getattr(args, "app", None),
         iterations=getattr(args, "iterations", None),
         interval=getattr(args, "interval", None),
@@ -510,30 +502,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"  512-rank throughput vs frozen seed baseline: "
               f"{update['speedup_vs_seed']:.3f}x (host-state dependent; "
               f"authoritative paired figure {bench.PAIRED_AB_512['speedup']}x)")
-    if not args.skip_sharded:
-        # No capped_shards here: the record carries host_cpus, the wall
-        # figure is explicitly host-qualified, and the projection comes
-        # from the single-process inline transport.
-        shards = args.shards
-        ncpu = os.cpu_count() or 1
-        if ncpu < shards:
-            print(f"note: host has {ncpu} CPUs < {shards} shards; "
-                  "speedup_wall will reflect timesharing — read "
-                  "projected_speedup (critical-path based) instead")
-        print(f"serial vs {shards}-shard run at {args.ranks} ranks "
-              f"({args.collectives} collectives) ...")
-        rec = bench.measure_sharded(
-            nranks=args.ranks, shards=shards, collective_algorithm=args.collectives
-        )
-        update["sharded"] = rec
-        for t, r in rec["transports"].items():
-            print(f"  {t:<7}: wall {r['wall_s']:.3f}s ({r['speedup_wall']:.2f}x), "
-                  f"critical path {r['critical_path_s']:.3f}s, "
-                  f"{r['windows']:,} windows, imbalance {r['imbalance']:.2f}")
-        print(f"  serial {rec['serial_s']:.3f}s -> wall speedup {rec['speedup_wall']:.2f}x "
-              f"(host has {rec['host_cpus']} CPUs), projected on >= {shards} cores: "
-              f"{rec['projected_speedup']:.2f}x, measured/projected "
-              f"{rec['measured_vs_projected']:.2f}")
     bench.merge_bench(update, out)
     print(f"wrote {out}")
     return 0
@@ -823,22 +791,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_arch.set_defaults(fn=_cmd_arch)
 
     p_bench = sub.add_parser(
-        "bench", help="measure PDES throughput and sharded speedup, "
+        "bench", help="measure PDES throughput and the result cache, "
         "updating BENCH_pdes.json"
     )
-    p_bench.add_argument("--ranks", type=int, default=4096,
-                         help="rank count of the serial-vs-sharded comparison")
-    p_bench.add_argument("--shards", type=int,
-                         default=int(os.environ.get("XSIM_SHARDS", "4") or 4),
-                         help="shard count of the comparison (default 4)")
-    p_bench.add_argument("--collectives", default="tree", choices=["linear", "tree"],
-                         help="collective algorithm of the benchmark workload "
-                         "(linear serializes at the barrier root and caps any "
-                         "parallel engine; tree is the scalable default)")
     p_bench.add_argument("--skip-scaling", action="store_true",
                          help="skip the serial throughput sweep")
-    p_bench.add_argument("--skip-sharded", action="store_true",
-                         help="skip the serial-vs-sharded comparison")
     p_bench.add_argument("--skip-cache", action="store_true",
                          help="skip the cold-vs-warm result-cache sweep comparison")
     p_bench.add_argument("--out", default=None, metavar="FILE",

@@ -5,26 +5,10 @@ Two measurements share this module:
 
 * :func:`run_scaling` — the PDES hot-path throughput sweep (events/sec per
   simulated-rank scale, with the engine's hot-path counters);
-* :func:`measure_sharded` — serial vs ``--shards N`` on one simulation,
-  the figure of merit of the sharded conservative-parallel engine.
+* :func:`measure_cache` — a cold vs warm sweep through the result cache.
 
 Both write into ``BENCH_pdes.json`` at the repository root (see
 :func:`write_bench` / :func:`merge_bench`).
-
-Honest measurement on small hosts
----------------------------------
-A sharded run's *wall-clock* speedup requires one real core per shard; on
-hosts with fewer cores the forked workers timeshare and the wall number
-reflects scheduling, not the partition.  The coordinator therefore
-measures, per window round, each participating worker's wall time; the sum
-of per-round *maxima* is the partition's critical path — what the wall
-clock would be with one core per shard and zero coordination cost.  The
-``inline`` transport runs every worker in one process (no preemption
-between concurrently-outstanding workers), so its critical path is a clean
-projection even on a single-core host.  Records carry ``host_cpus`` so the
-two speedup figures (``speedup_wall`` vs ``projected_speedup``) can be
-interpreted; the wall figure is only asserted against when the host
-actually has the cores.
 """
 
 from __future__ import annotations
@@ -33,7 +17,6 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any
 
 from repro.apps.heat3d import HeatConfig, heat3d
 from repro.core.checkpoint.store import CheckpointStore
@@ -169,103 +152,6 @@ def scaling_record(results: dict) -> dict:
             "within one host and machine state"
         ),
     }
-
-
-def measure_sharded(
-    nranks: int = 4096,
-    shards: int = 4,
-    collective_algorithm: str = "tree",
-    transports: tuple = ("inline", "fork"),
-    checkpoint_interval: int = 500,
-) -> dict:
-    """Serial vs sharded on one simulation; see the module docstring.
-
-    ``tree`` collectives are the default scenario: with the paper's
-    ``linear`` algorithm the barrier root serializes O(nranks) releases
-    2.6 ms apart in virtual time, an application-structure bottleneck
-    (Amdahl) that caps any parallel engine near ~1.6x regardless of shard
-    count — itself a co-design observation the record keeps visible via
-    ``parallelism``/``imbalance``.
-
-    Every transport's ``result_digest`` is asserted bit-identical to the
-    serial run's before any throughput is reported.
-    """
-    from repro.core.harness.experiment import result_digest
-
-    def build(**kw):
-        system = SystemConfig.paper_system(
-            nranks=nranks, collective_algorithm=collective_algorithm
-        )
-        wl = HeatConfig.paper_workload(
-            checkpoint_interval=checkpoint_interval, nranks=nranks
-        )
-        return XSim(system, **kw), wl
-
-    sim, wl = build()
-    t0 = time.perf_counter()
-    serial = sim.run(heat3d, args=(wl, CheckpointStore()))
-    serial_s = time.perf_counter() - t0
-    serial_digest = result_digest(serial)
-
-    record: dict[str, Any] = {
-        "nranks": nranks,
-        "shards": shards,
-        "collectives": collective_algorithm,
-        "host_cpus": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "events": serial.event_count,
-        "result_digest": serial_digest,
-        "transports": {},
-    }
-    for transport in transports:
-        sim2, wl2 = build(shards=shards, shard_transport=transport)
-        t0 = time.perf_counter()
-        res = sim2.run(heat3d, args=(wl2, CheckpointStore()))
-        wall = time.perf_counter() - t0
-        if result_digest(res) != serial_digest:
-            raise RuntimeError(
-                f"{transport} sharded run digest {result_digest(res)} != "
-                f"serial {serial_digest} — parity broken"
-            )
-        st = sim2.shard_stats
-        record["transports"][transport] = {
-            "wall_s": round(wall, 4),
-            "speedup_wall": round(serial_s / wall, 3) if wall > 0 else 0.0,
-            "windows": st.windows,
-            "lockstep_rounds": st.lockstep_rounds,
-            "critical_path_s": round(st.critical_path_seconds, 4),
-            "worker_busy_s": round(st.worker_busy_seconds, 4),
-            "barrier_s": round(st.barrier_seconds, 4),
-            "parallelism": round(st.parallelism, 3),
-            "imbalance": round(st.imbalance, 3),
-            "cross_shard_messages": st.cross_shard_messages,
-            "lookahead_min": st.lookahead,
-            "lookahead_max": st.lookahead_max,
-            "digest_matches_serial": True,
-            "projected_speedup": round(serial_s / st.critical_path_seconds, 3)
-            if st.critical_path_seconds > 0
-            else None,
-        }
-    # Headline figures: wall from the fastest transport (meaningful when
-    # host_cpus >= shards), projection from the inline transport (its
-    # per-round worker walls are preemption-free on any host).
-    walls = {t: r["speedup_wall"] for t, r in record["transports"].items()}
-    record["speedup_wall"] = max(walls.values())
-    proj_src = "inline" if "inline" in record["transports"] else transports[0]
-    record["projected_speedup"] = record["transports"][proj_src]["projected_speedup"]
-    proj = record["projected_speedup"] or 0.0
-    record["measured_vs_projected"] = (
-        round(record["speedup_wall"] / proj, 3) if proj > 0 else 0.0
-    )
-    record["note"] = (
-        "speedup_wall needs host_cpus >= shards to reflect the engine; "
-        "projected_speedup = serial_s / critical_path_s (sum of per-round "
-        "slowest-worker wall times, measured without worker preemption on "
-        "the inline transport) — the wall speedup a host with one core per "
-        "shard would observe, minus coordination costs; the CI speedup job "
-        "enforces measured_vs_projected >= 0.8 on hosts with >= shards cores"
-    )
-    return record
 
 
 def measure_cache(

@@ -158,7 +158,6 @@ class RestartDriver:
         log_stream: IO[str] | None = None,
         check: bool | None = None,
         shards: int = 1,
-        shard_transport: str | None = None,
         observe: "bool | Observer | None" = None,
         scenario: "Scenario | None" = None,
         strategy=None,
@@ -201,10 +200,9 @@ class RestartDriver:
         #: checkpoint namespace after each pre-restart cleanup.  ``None``
         #: defers to the ``XSIM_CHECK`` environment variable (per segment).
         self.check = check
-        #: Worker-process count for each segment's simulation (see
+        #: Shard count for each segment's simulation (see
         #: :mod:`repro.pdes.sharded`); results are bit-identical to serial.
         self.shards = shards
-        self.shard_transport = shard_transport
         #: One :class:`~repro.obs.Observer` shared by every segment, so
         #: the exported timeline covers the whole failure/restart
         #: experiment on its continuous virtual clock.
@@ -223,14 +221,10 @@ class RestartDriver:
 
         The scenario supplies the machine, the application, the explicit
         failure schedule and/or MTTF draw policy, the C/R budget, the
-        seed, the backend (shard count resolved through the registry's
-        CPU cap, once, here), and the instrumentation switches;
+        seed, the shard count, and the instrumentation switches;
         ``overrides`` passes any extra constructor argument through (e.g.
         an ``interceptor`` or a component-model ``policy``).
         """
-        from repro.run.backends import get_backend
-
-        backend = get_backend(scenario.backend_name())
         # One strategy instance serves the whole experiment: it wraps the
         # app here and rides through every segment of run() (so e.g. the
         # replication SDC monitor survives restarts).
@@ -247,8 +241,7 @@ class RestartDriver:
             max_restarts=scenario.max_restarts,
             log_stream=log_stream,
             check=scenario.check,
-            shards=backend.resolve_shards(scenario),
-            shard_transport=backend.transport,
+            shards=scenario.shards,
             observe=observe,
             scenario=scenario,
         )
@@ -277,7 +270,6 @@ class RestartDriver:
                 log_stream=self.log_stream,
                 check=self.check,
                 shards=self.shards,
-                shard_transport=self.shard_transport,
                 observe=self.observer,
                 scenario=self.scenario,
             )
@@ -312,8 +304,8 @@ class RestartDriver:
             for rank, t_abs in failstops:
                 sim.inject_failure(rank, t_abs)
             result = sim.run(self.app, args=self.make_args(strategy.segment_store()))
-            # Execution facts of the most recent segment (actual shard
-            # transport, fallback flag) for ScenarioOutcome.metadata.
+            # Execution facts of the most recent segment (shard count) for
+            # ScenarioOutcome.metadata.
             self.shard_stats = getattr(sim, "shard_stats", None)
             if self.observer is not None:
                 self.observer.span(

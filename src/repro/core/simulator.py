@@ -69,7 +69,6 @@ class XSim:
         record_events: bool = False,
         coalesce_advances: bool = True,
         shards: int = 1,
-        shard_transport: str | None = None,
         shard_lookahead: float | None = None,
         observe: "bool | Observer | None" = None,
         trace_detail: bool = False,
@@ -78,15 +77,9 @@ class XSim:
         self.system = system
         self.seed = seed
         self.rng = RngStreams(seed)
-        #: Worker-process count for the sharded conservative-parallel
-        #: engine (``repro.pdes.sharded``); 1 = serial.  Scenario-driven
-        #: construction (:meth:`from_scenario`, the CLI, campaigns) passes
-        #: a count already through the registry's jobs x shards CPU cap
-        #: (:func:`repro.run.backends.capped_shards`); direct construction
-        #: takes the count literally (benchmarks measure deliberate
-        #: oversubscription this way).
+        #: Shard count of the conservative windowed engine
+        #: (``repro.pdes.sharded``, run in this process); 1 = serial.
         self.shards = shards
-        self.shard_transport = shard_transport
         self.shard_lookahead = shard_lookahead
         #: The declarative spec this simulation was built from, when it
         #: came through :meth:`from_scenario`/:mod:`repro.run` (``None``
@@ -233,7 +226,7 @@ class XSim:
     @property
     def backend(self):
         """The registry backend this instance dispatches to."""
-        return backend_for(self.shards, self.shard_transport)
+        return backend_for(self.shards)
 
     def run(self, app, args: tuple = (), nranks: int | None = None) -> SimulationResult:
         """Launch ``app(mpi, *args)`` on ``nranks`` (default: the system's
@@ -301,9 +294,6 @@ class XSim:
             f"{d['processor_slowdown']:g}x slowdown"
         )
         b = d["backend"]
-        transport = f", {b['shard_transport']} transport" if b["shard_transport"] else ""
         shard_word = "shard" if b["shards"] == 1 else "shards"
-        lines.append(
-            f"execution backend: {b['name']} ({b['shards']} {shard_word}{transport})"
-        )
+        lines.append(f"execution backend: {b['name']} ({b['shards']} {shard_word})")
         return "\n".join(lines)

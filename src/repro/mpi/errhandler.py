@@ -40,9 +40,9 @@ class _FatalHandler:
         return "MPI_ERRORS_ARE_FATAL"
 
     def __reduce__(self):
-        # Pickle to the module-global name so the sharded engine's fork
-        # transport (and checkpoint stores) round-trip the sentinel to the
-        # *same* object — handler dispatch compares with ``is``.
+        # Pickle to the module-global name so the campaign pool, result
+        # cache payloads and checkpoint stores round-trip the sentinel to
+        # the *same* object — handler dispatch compares with ``is``.
         return "ERRORS_ARE_FATAL"
 
 

@@ -3,17 +3,16 @@
 The real xSim is itself a parallel discrete event simulator: it scales by
 distributing virtual processes over MPI and synchronizing conservatively.
 This module gives :class:`~repro.core.simulator.XSim` the same property on
-one multicore host.  Ranks are partitioned into *contiguous* shards, each
-owned by one worker process that runs a full replica of the simulation with
-the non-owned VPs deactivated.  Workers advance in *safe windows* — bounded
+one host.  Ranks are partitioned into *contiguous* shards, each owned by
+one worker that runs a full replica of the simulation with the non-owned
+VPs deactivated.  Workers advance in *safe windows* — bounded
 dispatch intervals whose width is the minimum cross-shard message latency
 (the lookahead), so no in-flight remote message can ever land inside the
 window that produced it.
 
 Protocol
 --------
-A coordinator (the parent process) drives every worker through one of two
-modes:
+A coordinator drives every worker through one of two modes:
 
 * **NORMAL** windows, used while the simulation is failure-free.  Let
   ``m_k`` be shard *k*'s next local event time, adjusted for envelopes
@@ -39,7 +38,7 @@ modes:
 
 Envelopes
 ---------
-Cross-shard traffic uses two picklable tuple forms:
+Cross-shard traffic uses two tuple forms:
 
 * ``("a", arrival, ctx, src, dst, tag, nbytes, payload, seq, protocol,
   req_id)`` — a message delivery, pushed onto the destination shard's heap
@@ -68,51 +67,29 @@ instead of diverging: unscheduled failures inside a NORMAL window (e.g.
 spanning shards (ULFM shrink/agree, analytic collectives), communicator
 handles crossing shards, and cross-shard revocation.
 
-Transports
-----------
-``fork`` (default where available): workers are forked from the launched
-parent simulation, so construction cost is paid once and copy-on-write
-shares the launch state; envelopes travel over ``multiprocessing`` pipes.
-``inline``: every shard is an independently constructed replica driven in
-one process — no parallelism, but bit-exact and debuggable, and the
-mechanism the property tests use.
-
-Both transports produce bit-identical digests; a worker process that
-dies mid-protocol raises :class:`~repro.util.errors.ShardWorkerDied`
-(liveness polling) instead of blocking the coordinator forever.
+Execution
+---------
+Every shard is an independently constructed replica (shard 0 reuses the
+launched parent simulation), and the coordinator calls each worker's
+methods directly, in one process.  Replicas share the app arguments, so
+checkpoint stores need no merging.  There is no host parallelism: a
+sharded run is the serial-parity oracle of the windowed protocol, not a
+speedup.  Multi-core throughput comes from running independent
+simulations in the campaign ``-j`` pool, which is bit-identical to
+serial; one worker process per shard ran slower than serial wall time on
+every host measured (ROADMAP, "Sharded engine").
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
-import os
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.checkpoint.store import CheckpointStore
 from repro.mpi.communicator import Communicator
-
-
-def _extract_stores(args: tuple) -> tuple[CheckpointStore, ...]:
-    """Every checkpoint namespace riding in the app args: plain
-    :class:`CheckpointStore` instances, plus the component namespaces of
-    composite stores (e.g. the multi-level tier store) advertised via a
-    ``component_stores()`` method.  Each shard's file-state deltas are
-    merged back per namespace after a windowed run."""
-    stores: list[CheckpointStore] = []
-    for a in args:
-        if isinstance(a, CheckpointStore):
-            stores.append(a)
-        else:
-            components = getattr(a, "component_stores", None)
-            if callable(components):
-                stores.extend(s for s in components() if isinstance(s, CheckpointStore))
-    return tuple(stores)
 from repro.mpi.constants import ERR_REVOKED
 from repro.mpi.messages import EAGER, RTS, Msg, Request
 from repro.models.network.model import NetworkModel, NetworkTier
@@ -128,7 +105,6 @@ from repro.pdes.engine import Engine, SimulationResult
 from repro.util.errors import (
     ConfigurationError,
     DeadlockError,
-    ShardWorkerDied,
     ShardedParityError,
     SimulationError,
 )
@@ -459,23 +435,21 @@ class ShardStats:
 
     nshards: int
     lookahead: float
-    transport: str
     #: NORMAL safe windows executed (one barrier each).
     windows: int = 0
     #: LOCKSTEP rounds (per-timestamp exact steps + directive deliveries).
     lockstep_rounds: int = 0
     #: Wall time the coordinator spent beyond the slowest worker per round —
-    #: the protocol/IPC overhead the windows add on top of useful work.
+    #: the protocol overhead the windows add on top of useful work.
     barrier_seconds: float = 0.0
     #: Sum over rounds of the *slowest participating worker's* wall time —
-    #: the inherent serial fraction of the run.  With ``nshards`` real cores
-    #: the whole run cannot finish faster than this plus barrier overhead,
-    #: so ``worker_busy_seconds / critical_path_seconds`` is the measured
-    #: parallelism of the partition independent of how many host cores the
-    #: benchmark machine happens to have.
+    #: the inherent serial fraction of the run: even with one core per
+    #: shard the run could not finish faster than this plus barrier
+    #: overhead, so ``worker_busy_seconds / critical_path_seconds`` is the
+    #: parallelism the partition exposes.
     critical_path_seconds: float = 0.0
     #: Sum of every worker's wall time across all rounds (the total useful
-    #: work; on a single-core host this approximates the serial run time).
+    #: work).
     worker_busy_seconds: float = 0.0
     #: Events dispatched per shard (filled at merge).
     shard_events: list[int] = field(default_factory=list)
@@ -484,11 +458,6 @@ class ShardStats:
     #: Largest entry of the per-pair lookahead matrix (``lookahead`` holds
     #: the smallest — the old global bound every pair dominates).
     lookahead_max: float = 0.0
-    #: Transport the caller asked for (``None`` = auto-select).
-    requested_transport: str | None = None
-    #: True when an unavailable fork start method forced the requested
-    #: fork transport down to inline (surfaced via SimLog/obs too).
-    transport_fallback: bool = False
     #: Shard sizes of the (possibly topology-slid) partition.
     partition: list[int] = field(default_factory=list)
 
@@ -502,13 +471,9 @@ class ShardStats:
 
     @property
     def parallelism(self) -> float:
-        """Measured parallelism: total worker work / critical path.
-
-        This is the wall-clock speedup the partition would achieve with one
-        real core per shard and zero coordination cost; it is meaningful
-        even when the benchmark host timeshares all workers on fewer cores
-        (each round's per-worker wall times are still measured).
-        """
+        """Measured parallelism: total worker work / critical path (the
+        speedup bound of the partition with one core per shard and zero
+        coordination cost)."""
         if self.critical_path_seconds <= 0.0:
             return 1.0
         return self.worker_busy_seconds / self.critical_path_seconds
@@ -538,8 +503,6 @@ class ShardReport:
     #: Observer events collected by this worker's shard-local
     #: :class:`~repro.obs.Observer` (``None`` when observability is off).
     obs_entries: list | None
-    #: (owned checkpoint files, writes delta, deletes delta) — fork only.
-    store_delta: tuple | None
 
 
 # ----------------------------------------------------------------------
@@ -908,17 +871,15 @@ class ShardWorker:
         self.owned_sorted = sorted(owned)
         self._fail_base = 0
         self._abort_reported = False
-        self._stores: tuple[CheckpointStore, ...] = ()
-        self._store_bases: tuple[tuple[int, int], ...] = ()
         self._obs = None
 
-    def setup(self, stores: tuple[CheckpointStore, ...] = ()) -> float:
+    def setup(self) -> float:
         engine = self.engine
         # Workers record log entries only; the coordinator echoes the
         # merged, time-ordered stream once.
         engine.log.stream = None
         # A fresh shard-local bus (None when observability is off): the
-        # inline shard-0 worker shares its sim (and hence observer) with
+        # shard-0 worker shares its sim (and hence observer) with
         # the coordinator, so recording into the parent directly would
         # duplicate events at merge time.  Events ship back via
         # ShardReport.
@@ -933,8 +894,6 @@ class ShardWorker:
         )
         engine.configure_shard(self.shard_id, self.owned)
         engine.begin_windowed_run()
-        self._stores = tuple(stores)
-        self._store_bases = tuple((s.writes, s.deletes) for s in self._stores)
         return engine.next_event_time()
 
     def apply(self, envelopes: list[tuple], directives: tuple | list) -> None:
@@ -1012,16 +971,6 @@ class ShardWorker:
                 vp.exit_value,
                 str(vp.wait_tag),
             )
-        store_delta = None
-        if self._stores:
-            store_delta = tuple(
-                (
-                    {key: f for key, f in s._files.items() if key[1] in self.owned},
-                    s.writes - base[0],
-                    s.deletes - base[1],
-                )
-                for s, base in zip(self._stores, self._store_bases)
-            )
         world = self.world
         trace = engine.event_trace
         return ShardReport(
@@ -1042,135 +991,11 @@ class ShardWorker:
             log_entries=list(engine.log.entries),
             trace_entries=list(trace.entries) if trace is not None else None,
             obs_entries=list(self._obs.events) if self._obs is not None else None,
-            store_delta=store_delta,
         )
 
 
-def _handle_op(worker: ShardWorker, msg: tuple) -> Any:
-    op = msg[0]
-    if op == "window":
-        worker.apply(msg[2], ())
-        return worker.run_window(msg[1])
-    if op == "exact":
-        return worker.run_exact(msg[1])
-    if op == "apply":
-        worker.apply(msg[1], msg[2])
-        return worker.engine.next_event_time()
-    if op == "finish":
-        return worker.finish()
-    raise SimulationError(f"unknown shard op {op!r}")
-
-
-def _forked_worker_main(
-    conn, worker: ShardWorker, stores: tuple[CheckpointStore, ...]
-) -> None:
-    """Child-process loop of the fork transport."""
-    status = 0
-    try:
-        try:
-            conn.send(("ok", worker.setup(stores=stores)))
-            while True:
-                msg = conn.recv()
-                if msg[0] == "close":
-                    break
-                conn.send(("ok", _handle_op(worker, msg)))
-        except EOFError:
-            pass
-        except BaseException as err:
-            status = 1
-            try:
-                conn.send(("error", f"{type(err).__name__}: {err}"))
-            except Exception:
-                pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-        # Skip the parent's interpreter teardown (atexit hooks, pytest
-        # machinery) inherited by the fork.
-        os._exit(status)
-
-
-# ----------------------------------------------------------------------
-# transports
-# ----------------------------------------------------------------------
-class _InlineConn:
-    """Worker driven directly in the coordinator process."""
-
-    def __init__(self, worker: ShardWorker, stores: tuple[CheckpointStore, ...]):
-        self.worker = worker
-        self.initial_min = worker.setup(stores=stores)
-        self._pending: tuple | None = None
-
-    def send(self, msg: tuple) -> None:
-        self._pending = msg
-
-    def recv_payload(self) -> Any:
-        msg, self._pending = self._pending, None
-        if msg is None:
-            raise SimulationError("inline shard recv without a pending op")
-        return _handle_op(self.worker, msg)
-
-
-class _ForkConn:
-    """Pipe to a forked worker process (envelopes pickled in-band).
-
-    Replies are awaited with bounded ``conn.poll`` + ``proc.is_alive``
-    checks: a worker that dies mid-window raises
-    :class:`~repro.util.errors.ShardWorkerDied` (naming the shard and its
-    last completed protocol round) instead of blocking the coordinator on
-    ``Conn.recv`` forever.
-    """
-
-    #: Seconds between liveness checks while waiting on the pipe.
-    poll_interval = 0.05
-
-    def __init__(self, conn, proc, shard_id: int):
-        self.conn = conn
-        self.proc = proc
-        self.shard_id = shard_id
-        self.initial_min = math.inf
-        #: Protocol rounds (setup/window/lockstep/apply replies) completed.
-        self.completed_rounds = 0
-
-    def _worker_died(self):
-        raise ShardWorkerDied(self.shard_id, self.completed_rounds)
-
-    def send(self, msg: tuple) -> None:
-        try:
-            self.conn.send(msg)
-        except (BrokenPipeError, OSError):
-            self._worker_died()
-
-    def _recv(self) -> tuple:
-        conn = self.conn
-        while True:
-            try:
-                if conn.poll(self.poll_interval):
-                    return conn.recv()
-            except (EOFError, OSError):
-                self._worker_died()
-            if not self.proc.is_alive():
-                # Drain a reply the worker may have written just before
-                # exiting (e.g. its final error report).
-                try:
-                    if conn.poll(0):
-                        return conn.recv()
-                except (EOFError, OSError):
-                    pass
-                self._worker_died()
-
-    def recv_payload(self) -> Any:
-        reply = self._recv()
-        if reply[0] == "error":
-            raise SimulationError(f"shard {self.shard_id} worker failed: {reply[1]}")
-        self.completed_rounds += 1
-        return reply[1]
-
-
 def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
-    """Construct and launch an identical simulation for one inline shard.
+    """Construct and launch an identical simulation for one shard.
 
     Determinism of construction + launch means the replica's event heap,
     sequence numbers, and armed failures match the parent's exactly.
@@ -1187,7 +1012,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
         record_events=sim.event_trace is not None,
         coalesce_advances=sim.engine.coalesce_advances,
         shards=sim.shards,
-        shard_transport="inline",
         observe=sim.observer,
     )
     replica.world.launch(app, nranks, args)
@@ -1198,75 +1022,6 @@ def _build_replica(sim: "XSim", app, args: tuple, nranks: int) -> "XSim":
     return replica
 
 
-def _make_transport(
-    transport: str,
-    sim: "XSim",
-    app,
-    args: tuple,
-    nranks: int,
-    parts: list[range],
-    stores: tuple[CheckpointStore, ...],
-    lookahead: float,
-    matrix: list[list[float]],
-    owner: list[int],
-):
-    """Returns ``(conns, cleanup)``; every conn has ``initial_min`` set."""
-    owner_t = tuple(owner)
-
-    def make_worker(shard_sim: "XSim", k: int, part: range) -> ShardWorker:
-        return ShardWorker(
-            shard_sim, k, part, lookahead, la_row=tuple(matrix[k]), owner=owner_t
-        )
-
-    if transport == "inline":
-        conns: list = []
-        for k, part in enumerate(parts):
-            shard_sim = sim if k == 0 else _build_replica(sim, app, args, nranks)
-            # Inline replicas share the parent's store objects via the
-            # app args, so file state needs no merging (no stores).
-            conns.append(_InlineConn(make_worker(shard_sim, k, part), ()))
-        return conns, lambda: None
-
-    ctx = mp.get_context("fork")
-    conns = []
-    procs = []
-    for k, part in enumerate(parts):
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_forked_worker_main,
-            args=(child_conn, make_worker(sim, k, part), stores),
-            daemon=True,
-        )
-        proc.start()  # forks the fully launched, not-yet-run simulation
-        child_conn.close()
-        conns.append(_ForkConn(parent_conn, proc, k))
-        procs.append(proc)
-    # The parent engine is consumed by the forked workers; mark it run so a
-    # stray Engine.run() cannot double-execute the launch state.  (Set only
-    # after forking — children must still pass begin_windowed_run's guard.)
-    sim.engine._ran = True
-    for conn in conns:
-        conn.initial_min = conn.recv_payload()
-
-    def cleanup() -> None:
-        for conn in conns:
-            try:
-                conn.conn.send(("close",))
-            except Exception:
-                pass
-            try:
-                conn.conn.close()
-            except Exception:
-                pass
-        for proc in procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=10)
-
-    return conns, cleanup
-
-
 # ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
@@ -1275,7 +1030,8 @@ class _Coordinator:
 
     def __init__(
         self,
-        conns: list,
+        workers: list[ShardWorker],
+        mins: list[float],
         owner: list[int],
         la: list[list[float]],
         h_min: float,
@@ -1283,8 +1039,8 @@ class _Coordinator:
         stats: ShardStats,
         obs=None,
     ):
-        self.conns = conns
-        self.n = len(conns)
+        self.workers = workers
+        self.n = len(workers)
         self.owner = owner
         #: Closed per-shard-pair lookahead matrix (inf diagonal).
         self.la = la
@@ -1294,9 +1050,10 @@ class _Coordinator:
         #: Parent-side :class:`~repro.obs.Observer` receiving host-domain
         #: per-round events (workers have their own shard-local buses).
         self.obs = obs
-        self.mins = [c.initial_min for c in conns]
-        self.pending: list[list[tuple]] = [[] for _ in conns]
-        self.directives: list[list[tuple]] = [[] for _ in conns]
+        #: Each shard's next event time (from ``ShardWorker.setup``).
+        self.mins = mins
+        self.pending: list[list[tuple]] = [[] for _ in workers]
+        self.directives: list[list[tuple]] = [[] for _ in workers]
 
     @staticmethod
     def _env_time(env: tuple) -> float:
@@ -1331,9 +1088,7 @@ class _Coordinator:
                 self._apply_round()
                 continue
             self._exact_step(m, eff)
-        for conn in self.conns:
-            conn.send(("finish",))
-        return [conn.recv_payload() for conn in self.conns]
+        return [worker.finish() for worker in self.workers]
 
     def _window_round(self, eff: list[float]) -> None:
         # Per-shard conservative bound: shard k can safely dispatch every
@@ -1360,12 +1115,17 @@ class _Coordinator:
             if eff[k] < end:
                 targets.append((k, end))
         t0 = perf_counter()
+        # Take every participant's envelopes before any of them runs: what
+        # a shard emits this round is routed for the *next* round.
+        batches = []
         for k, end in targets:
-            self.conns[k].send(("window", end, self.pending[k]))
+            batches.append((k, end, self.pending[k]))
             self.pending[k] = []
         walls = []
-        for k, _end in targets:
-            m_next, out, fails, abort, wall = self.conns[k].recv_payload()
+        for k, end, envelopes in batches:
+            worker = self.workers[k]
+            worker.apply(envelopes, ())
+            m_next, out, fails, abort, wall = worker.run_window(end)
             if fails or abort:
                 raise ShardedParityError(
                     f"shard {k} produced an unscheduled failure/abort inside a "
@@ -1392,12 +1152,11 @@ class _Coordinator:
 
     def _apply_round(self) -> None:
         t0 = perf_counter()
-        for k, conn in enumerate(self.conns):
-            conn.send(("apply", self.pending[k], self.directives[k]))
+        for k, worker in enumerate(self.workers):
+            worker.apply(self.pending[k], self.directives[k])
             self.pending[k] = []
             self.directives[k] = []
-        for k, conn in enumerate(self.conns):
-            self.mins[k] = conn.recv_payload()
+            self.mins[k] = worker.engine.next_event_time()
         self.stats.lockstep_rounds += 1
         if self.obs is not None:
             self.obs.host_span(
@@ -1420,9 +1179,7 @@ class _Coordinator:
         candidates = [k for k in range(self.n) if eff[k] == t1]
         candidates.sort(key=lambda k: (self._t1_priority(k, t1), k))
         k = candidates[0]
-        conn = self.conns[k]
-        conn.send(("exact", t1))
-        m_next, out, fails, abort, wall = conn.recv_payload()
+        m_next, out, fails, abort, wall = self.workers[k].run_exact(t1)
         self.stats.critical_path_seconds += wall  # exact steps are serial
         self.stats.worker_busy_seconds += wall
         self.mins[k] = m_next
@@ -1494,43 +1251,11 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
         ]
     armed = list(sim._armed_failures)
     h_min = min((t for _, t in armed), default=math.inf)
-    stores = _extract_stores(args)
     orig_stream = engine.log.stream
-
-    requested = sim.shard_transport
-    transport = requested
-    if transport is None:
-        transport = "fork" if "fork" in mp.get_all_start_methods() else "inline"
-    elif transport not in ("fork", "inline"):
-        raise ConfigurationError(f"unknown shard transport {transport!r}")
-    fallback = False
-    if transport == "fork" and "fork" not in mp.get_all_start_methods():
-        fallback = True
-        message = (
-            f"{transport!r} shard transport needs the fork start method "
-            "(unavailable on this host); falling back to the inline "
-            "single-process transport"
-        )
-        transport = "inline"
-        # Surfaced once through every channel the run exposes: a Python
-        # warning for API callers, a SimLog line (merged into the run's
-        # log via the shard-0 report), and a host-domain obs instant.
-        # Never in the digest — SimulationResult carries none of these.
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-        engine.log.log(engine.now, "shards", message)
-        if sim.observer is not None:
-            sim.observer.host_instant(
-                perf_counter(), "shard-transport-fallback", track="coordinator",
-                args={"requested": requested, "actual": transport},
-            )
-
     stats = ShardStats(
         nshards=nshards,
         lookahead=lookahead,
-        transport=transport,
         lookahead_max=max(pairs) if sim.shard_lookahead is None else lookahead,
-        requested_transport=requested,
-        transport_fallback=fallback,
         partition=[len(part) for part in parts],
     )
     if sim.observer is not None:
@@ -1538,23 +1263,25 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
             perf_counter(), "shard-plan", track="coordinator",
             args={
                 "nshards": nshards,
-                "transport": transport,
                 "lookahead_min": stats.lookahead,
                 "lookahead_max": stats.lookahead_max,
             },
         )
-    conns, cleanup = _make_transport(
-        transport, sim, app, args, nranks, parts, stores, lookahead, matrix, owner
-    )
-    try:
-        coordinator = _Coordinator(
-            conns, owner, matrix, h_min, armed, stats, obs=sim.observer
+    owner_t = tuple(owner)
+    workers: list[ShardWorker] = []
+    mins: list[float] = []
+    for k, part in enumerate(parts):
+        shard_sim = sim if k == 0 else _build_replica(sim, app, args, nranks)
+        worker = ShardWorker(
+            shard_sim, k, part, lookahead, la_row=tuple(matrix[k]), owner=owner_t
         )
-        reports = coordinator.drive()
-    finally:
-        cleanup()
-
-    _merge_reports(sim, reports, parts, stores, transport, orig_stream, stats)
+        mins.append(worker.setup())
+        workers.append(worker)
+    coordinator = _Coordinator(
+        workers, mins, owner, matrix, h_min, armed, stats, obs=sim.observer
+    )
+    reports = coordinator.drive()
+    _merge_reports(sim, reports, orig_stream, stats)
     blocked = [
         (vp.rank, str(vp.wait_tag), vp.state.value) for vp in engine.vps if vp.alive
     ]
@@ -1566,13 +1293,7 @@ def run_sharded(sim: "XSim", app, args: tuple, nranks: int) -> SimulationResult:
 
 
 def _merge_reports(
-    sim: "XSim",
-    reports: list[ShardReport],
-    parts: list[range],
-    stores: tuple[CheckpointStore, ...],
-    transport: str,
-    orig_stream,
-    stats: ShardStats,
+    sim: "XSim", reports: list[ShardReport], orig_stream, stats: ShardStats
 ) -> None:
     """Fold the shard reports back into the parent engine/world so the
     standard ``Engine._result()`` (and any profiler attached to the parent)
@@ -1628,7 +1349,7 @@ def _merge_reports(
             print(entry.render(), file=orig_stream)
     if sim.observer is not None:
         # Shard-local buses ship their events in the reports; export-time
-        # canonical sorting makes the merge order irrelevant.  The inline
+        # canonical sorting makes the merge order irrelevant.  The
         # shard-0 worker swapped the parent's obs hooks for its own bus,
         # so point them back at the parent observer.
         sim.observer.extend(
@@ -1646,17 +1367,3 @@ def _merge_reports(
             key=lambda entry: entry[0],
         )
         sim.event_trace.entries = merged_trace
-    if stores and transport == "fork":
-        # Owned-rank checkpoint files replace the parent's pre-fork view;
-        # counters advance by the per-shard deltas — per component
-        # namespace (a multi-level store ships one delta per tier).
-        for report, part in zip(reports, parts):
-            owned = set(part)
-            for store, (files, writes_delta, deletes_delta) in zip(
-                stores, report.store_delta
-            ):
-                for key in [k for k in store._files if k[1] in owned]:
-                    del store._files[key]
-                store._files.update(files)
-                store.writes += writes_delta
-                store.deletes += deletes_delta

@@ -60,8 +60,7 @@ class MultilevelStore:
 
     Rides through the app args like a plain
     :class:`~repro.core.checkpoint.store.CheckpointStore`;
-    :meth:`component_stores` exposes the tier namespaces to the sharded
-    engine's file-state merge, and :meth:`make_protocol` tells
+    :meth:`make_protocol` tells
     :func:`~repro.core.checkpoint.protocol.resolve_protocol` to drive the
     tiered discipline instead of the single-level one.
     """
@@ -72,9 +71,6 @@ class MultilevelStore:
         self.local = CheckpointStore()
         self.partner = CheckpointStore()
         self.global_ = CheckpointStore()
-
-    def component_stores(self) -> tuple[CheckpointStore, ...]:
-        return (self.local, self.partner, self.global_)
 
     def make_protocol(self, api: "MpiApi") -> "MultilevelProtocol":
         return MultilevelProtocol(api, self)

@@ -115,10 +115,10 @@ class Replication(ResilienceStrategy):
         return out
 
     def facts(self):
-        # Parent-side counters only: RedundancyMonitor tallies accrue in
-        # the shard workers under the fork transport and are not
-        # merged back, so they stay off the (transport-independent) run
-        # summary; tests read ``self.monitor`` directly on serial runs.
+        # Parent-side counters only: RedundancyMonitor tallies accrue per
+        # shard replica on sharded runs, so they stay off the
+        # (backend-independent) run summary; tests read ``self.monitor``
+        # directly on serial runs.
         return {
             "strategy": self.name,
             "factor": self.factor,

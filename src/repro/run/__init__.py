@@ -14,11 +14,9 @@ and launched:
   round-trippable through TOML and fingerprinted by
   :meth:`Scenario.scenario_digest`.
 * :mod:`repro.run.backends` — the runtime-backend registry.  Every way of
-  executing a scenario (serial engine, sharded conservative-parallel
-  engine over the inline or fork transport) is a named
-  :class:`~repro.run.backends.Backend` behind one
-  ``execute(scenario) -> SimulationResult`` interface; the jobs x shards
-  CPU-capping guard lives here, so the API and the CLI share it.
+  executing a scenario (serial engine, in-process sharded windowed
+  engine) is a named :class:`~repro.run.backends.Backend` behind one
+  ``execute(scenario) -> SimulationResult`` interface.
 * :mod:`repro.run.instruments` — the instrumentation attach point: one
   hook table that wires the Sanitizer, the EventTrace recorder, and the
   Observer bus onto any backend's engine/world pair, replacing per-call
@@ -40,7 +38,6 @@ from repro.run.backends import (
     Backend,
     ScenarioOutcome,
     backend_names,
-    capped_shards,
     get_backend,
     register_backend,
     run_scenario,
@@ -68,7 +65,6 @@ __all__ = [
     "XSIM_ENV_VARS",
     "attach_instruments",
     "backend_names",
-    "capped_shards",
     "coerce_observer",
     "expand_matrix",
     "get_backend",

@@ -5,22 +5,17 @@ running simulation behind one interface — ``execute(scenario) ->
 SimulationResult`` — and is registered by name:
 
 * ``serial`` — the single-process PDES engine;
-* ``sharded-inline`` — the conservative-parallel engine with every shard
-  replica driven in one process (bit-exact, debuggable, no extra cores);
-* ``sharded-fork`` — one forked worker process per shard.
+* ``sharded-inline`` — the conservative windowed engine with every shard
+  replica driven in one process (bit-exact with serial; the parity
+  oracle of the windowed protocol, not a speedup).
 
-The jobs x shards CPU-capping guard (:func:`capped_shards`) lives here,
-so campaigns and direct API calls get the same oversubscription
-protection the CLI applies; :class:`~repro.core.simulator.XSim` also
-routes its ``run`` dispatch through this registry, which makes a new
-execution mode one ``@register_backend`` entry instead of an edit at
-every launcher.
+:class:`~repro.core.simulator.XSim` routes its ``run`` dispatch through
+this registry, which makes a new execution mode one ``@register_backend``
+entry instead of an edit at every launcher.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -61,48 +56,11 @@ def get_backend(name: str) -> "Backend":
     return backend
 
 
-def capped_shards(
-    shards: int, jobs: int = 1, transport: str | None = None, quiet: bool = False
-) -> int:
-    """Cap ``jobs * shards`` at the host's CPU count (process transports).
-
-    Every forked shard worker is a full process; running ``jobs`` pool
-    workers that each fork ``shards`` engine workers silently oversubscribes
-    the host and makes *everything* slower.  The inline transport stays in
-    one process and is never capped.
-    """
-    if shards <= 1 or transport == "inline":
-        return shards
-    # os.cpu_count() may return None (undeterminable); treat that as one
-    # core — capping hard beats silently oversubscribing an unknown host.
-    ncpu = os.cpu_count() or 1
-    jobs = max(1, jobs)
-    if jobs * shards > ncpu:
-        capped = max(1, ncpu // jobs)
-        if not quiet:
-            print(
-                f"warning: --jobs {jobs} x --shards {shards} would oversubscribe "
-                f"{ncpu} CPUs; capping shards to {capped} "
-                "(use --shard-transport inline to shard without extra processes)",
-                file=sys.stderr,
-            )
-        return capped
-    return shards
-
-
 class Backend:
-    """One execution mode.  Subclasses set ``name`` and the shard
-    ``transport`` they imply, and implement :meth:`run_engine`."""
+    """One execution mode.  Subclasses set ``name`` and implement
+    :meth:`run_engine`."""
 
     name: str = "?"
-    #: Shard transport this backend drives (``None`` for serial).
-    transport: str | None = None
-
-    def resolve_shards(self, scenario: Scenario, quiet: bool = False) -> int:
-        """The shard count this backend actually runs, after the CPU cap."""
-        return capped_shards(
-            scenario.shards, jobs=scenario.jobs, transport=self.transport, quiet=quiet
-        )
 
     def make_sim(
         self,
@@ -110,7 +68,6 @@ class Backend:
         start_time: float = 0.0,
         log_stream=None,
         observe: Any = None,
-        quiet: bool = False,
     ) -> "XSim":
         """Build a configured (not yet run) simulation for the scenario."""
         from repro.core.simulator import XSim
@@ -122,8 +79,7 @@ class Backend:
             log_stream=log_stream,
             check=scenario.check,
             record_events=scenario.record_events,
-            shards=self.resolve_shards(scenario, quiet=quiet),
-            shard_transport=self.transport,
+            shards=scenario.shards,
             observe=observe if observe is not None else (scenario.observe or None),
             trace_detail=scenario.trace_detail,
             scenario=scenario,
@@ -152,11 +108,7 @@ class Backend:
 
     def describe(self, sim: "XSim") -> dict[str, Any]:
         """Backend block of ``XSim.describe_architecture``."""
-        return {
-            "name": self.name,
-            "shards": sim.shards,
-            "shard_transport": self.transport,
-        }
+        return {"name": self.name, "shards": sim.shards}
 
 
 @register_backend
@@ -164,7 +116,6 @@ class SerialBackend(Backend):
     """The single-process PDES engine."""
 
     name = "serial"
-    transport = None
 
     def run_engine(self, sim: "XSim", app, args: tuple, nranks: int):
         if sim.observer is not None:
@@ -178,37 +129,21 @@ class SerialBackend(Backend):
         return sim.engine.run()
 
 
-class _ShardedBackend(Backend):
+@register_backend
+class ShardedInlineBackend(Backend):
+    """Conservative windowed shards, all driven in one process."""
+
+    name = "sharded-inline"
+
     def run_engine(self, sim: "XSim", app, args: tuple, nranks: int):
         from repro.pdes.sharded import run_sharded
 
         return run_sharded(sim, app, args, nranks)
 
 
-@register_backend
-class ShardedInlineBackend(_ShardedBackend):
-    """Conservative-parallel shards, all driven in one process."""
-
-    name = "sharded-inline"
-    transport = "inline"
-
-
-@register_backend
-class ShardedForkBackend(_ShardedBackend):
-    """Conservative-parallel shards, one forked worker process each."""
-
-    name = "sharded-fork"
-    transport = "fork"
-
-
-def backend_for(shards: int, shard_transport: str | None) -> Backend:
-    """The backend a legacy ``(shards, shard_transport)`` pair selects —
-    the dispatch rule every pre-registry launcher hand-coded."""
-    from repro.run.scenario import Scenario
-
-    return get_backend(
-        Scenario(shards=max(1, shards), shard_transport=shard_transport).backend_name()
-    )
+def backend_for(shards: int) -> Backend:
+    """The backend a shard count selects."""
+    return get_backend("serial" if shards <= 1 else "sharded-inline")
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +165,7 @@ class ScenarioOutcome:
     sim: "XSim | None" = None
     observer: Any = None
     #: Execution facts that are *not* part of the result (and therefore
-    #: never of the digest): the transport the run actually used, whether
-    #: an unavailable fork start method forced a fallback, etc.
+    #: never of the digest): the shard count the run used, cache hits.
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -284,12 +218,7 @@ def _execution_metadata(stats) -> dict:
     Pure execution facts — deliberately excluded from the digest."""
     if stats is None:
         return {}
-    return {
-        "shard_transport": stats.transport,
-        "requested_transport": stats.requested_transport,
-        "transport_fallback": stats.transport_fallback,
-        "nshards": stats.nshards,
-    }
+    return {"nshards": stats.nshards}
 
 
 def run_scenario(

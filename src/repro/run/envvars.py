@@ -58,13 +58,6 @@ XSIM_ENV_VARS: dict[str, EnvVar] = {
             "(1 = serial)",
         ),
         EnvVar(
-            "XSIM_SHARD_TRANSPORT",
-            field="shard_transport",
-            cli_flag="--shard-transport",
-            description='shard worker transport: "fork" (pickled pipes) '
-            'or "inline" (single-process); digests are transport-independent',
-        ),
-        EnvVar(
             "XSIM_JOBS",
             field="jobs",
             cli_flag="--jobs",
@@ -145,13 +138,6 @@ def read_environment(environ=None) -> dict[str, object]:
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
         out[field] = value
-    raw = env.get("XSIM_SHARD_TRANSPORT", "").strip()
-    if raw:
-        if raw not in ("fork", "inline"):
-            raise ConfigurationError(
-                f"XSIM_SHARD_TRANSPORT must be 'fork' or 'inline', got {raw!r}"
-            )
-        out["shard_transport"] = raw
     raw = env.get("XSIM_STRATEGY", "").strip()
     if raw:
         from repro.resilience import strategy_names

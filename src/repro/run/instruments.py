@@ -102,9 +102,9 @@ def make_shard_observer(parent_observer):
     """A fresh shard-local bus mirroring the parent's configuration.
 
     Shard workers must not record into the parent observer directly (the
-    inline shard-0 worker shares the parent sim, so events would
-    duplicate at merge time); they record locally and ship events back in
-    the shard report.
+    shard-0 worker shares the parent sim, so events would duplicate at
+    merge time); they record locally and ship events back in the shard
+    report.
     """
     if parent_observer is None:
         return None

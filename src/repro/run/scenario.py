@@ -71,7 +71,6 @@ TOML_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
         ("seed", "seed"),
         ("backend", "backend"),
         ("shards", "shards"),
-        ("shard_transport", "shard_transport"),
         ("jobs", "jobs"),
     ),
     "instrumentation": (
@@ -89,9 +88,11 @@ TOPOLOGY_NAMES = ("torus", "mesh", "fattree", "star", "crossbar")
 #: ``(field, rendered value)`` lines :meth:`Scenario.scenario_digest`
 #: still hashes for fields that no longer exist.  ``engine`` chose between
 #: two digest-identical event cores until the second core was deleted;
-#: hashing its only surviving value keeps every scenario digest — and so
-#: every cache key and pinned explore scorecard — byte-identical.
-_RETIRED_DIGEST_LINES = (("engine", "'heap'"),)
+#: ``shard_transport`` chose how shard workers ran until only the
+#: in-process one was left.  Hashing each one's default value keeps every
+#: scenario that never set it — and so every cache key and pinned explore
+#: scorecard — byte-identical.
+_RETIRED_DIGEST_LINES = (("engine", "'heap'"), ("shard_transport", "None"))
 
 
 def parse_dims(text: str) -> tuple[int, ...]:
@@ -144,7 +145,6 @@ class Scenario:
     seed: int = 0
     backend: str | None = None
     shards: int = 1
-    shard_transport: str | None = None
     jobs: int = 1
     # -- instrumentation -----------------------------------------------
     check: bool | None = None
@@ -191,10 +191,6 @@ class Scenario:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shard_transport not in (None, "fork", "inline"):
-            raise ConfigurationError(
-                f"unknown shard transport {self.shard_transport!r}"
-            )
         # Validates the strategy name and parameter spellings eagerly,
         # and yields the physical rank count (replication runs factor-R
         # replicas, so the simulated machine is wider than the app).
@@ -314,32 +310,13 @@ class Scenario:
     # derived objects
     # ------------------------------------------------------------------
     def backend_name(self) -> str:
-        """The registered backend this scenario runs on.
-
-        Explicit ``backend`` wins (and must agree with ``shard_transport``
-        if both are given); otherwise the name derives from ``shards`` and
-        ``shard_transport`` exactly as the pre-registry launchers did.
-        """
+        """The registered backend this scenario runs on: an explicit
+        ``backend`` wins, otherwise ``shards`` decides."""
         if self.backend is not None:
-            implied = {
-                "sharded-fork": "fork",
-                "sharded-inline": "inline",
-            }.get(self.backend)
-            if (
-                self.shard_transport is not None
-                and implied is not None
-                and implied != self.shard_transport
-            ):
-                raise ConfigurationError(
-                    f"backend {self.backend!r} conflicts with "
-                    f"shard_transport {self.shard_transport!r}"
-                )
             return self.backend
-        if self.shards <= 1:
-            return "serial"
-        if self.shard_transport == "inline":
-            return "sharded-inline"
-        return "sharded-fork"
+        from repro.run.backends import backend_for
+
+        return backend_for(self.shards).name
 
     def make_strategy(self):
         """Instantiate this scenario's resilience strategy (validated)."""

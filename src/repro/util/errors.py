@@ -54,23 +54,6 @@ class ShardedParityError(SimulationError):
     """
 
 
-class ShardWorkerDied(SimulationError):
-    """A forked shard worker process died mid-protocol.
-
-    Raised by the coordinator's liveness polling instead of blocking on
-    ``Conn.recv`` forever; names the shard and how many protocol rounds
-    (setup/window/lockstep/apply replies) it had completed.
-    """
-
-    def __init__(self, shard_id: int, last_round: int):
-        self.shard_id = shard_id
-        self.last_round = last_round
-        super().__init__(
-            f"shard {shard_id} worker process died; last completed "
-            f"protocol round: {last_round}"
-        )
-
-
 class CheckpointError(XsimError):
     """A checkpoint store operation failed (e.g. loading a corrupted set)."""
 

@@ -64,8 +64,7 @@ def _fill(store, scenario=SMALL):
 class TestCacheKey:
     def test_execution_fields_normalized_out(self):
         base = cache_key(SMALL)
-        assert cache_key(SMALL.with_(shards=4, shard_transport="fork")) == base
-        assert cache_key(SMALL.with_(shards=2, shard_transport="inline")) == base
+        assert cache_key(SMALL.with_(shards=2)) == base
         assert cache_key(SMALL.with_(jobs=8)) == base
         # trace_out implies observe=True (payload-relevant), so it shares
         # the *observed* entry, not the bare one — the path itself is
@@ -117,23 +116,23 @@ class TestHitEquivalence:
 
     def test_cross_backend_sharing(self, store):
         cold = _fill(store)
-        sharded = SMALL.with_(shards=2, shard_transport="inline")
+        sharded = SMALL.with_(shards=2)
         warm = run_scenario(sharded, cache=store)
         assert warm.metadata.get("cache_hit") is True
         assert warm.digest() == cold.digest()
 
     def test_result_digest_excludes_host_metadata(self, store):
         """The digest a hit is verified against must not depend on how or
-        where the cell was computed: transports, worker fallbacks, wall
-        times, and CPU counts live in metadata, never in the digest."""
+        where the cell was computed: shard counts, wall times, and CPU
+        counts live in metadata, never in the digest."""
         serial = run_scenario(SMALL)
-        sharded = run_scenario(SMALL.with_(shards=2, shard_transport="inline"))
+        sharded = run_scenario(SMALL.with_(shards=2))
         assert serial.digest() == sharded.digest()
         assert serial.metadata != sharded.metadata  # metadata does differ...
         mutated = run_scenario(SMALL)
         mutated.metadata["host_cpus"] = 999999
         mutated.metadata["wall_s"] = 123.456
-        mutated.metadata["shard_transport"] = "carrier-pigeon"
+        mutated.metadata["nshards"] = 7
         assert mutated.digest() == serial.digest()  # ...and is excluded
 
     def test_record_events_bypasses_cache(self, store):

@@ -206,6 +206,6 @@ class TestEndToEnd:
     )
     def test_serial_sharded_digest_parity(self, failures):
         serial = _outcome(failures)
-        sharded = _outcome(failures, shards=2, shard_transport="inline")
+        sharded = _outcome(failures, shards=2)
         assert serial["result_digest"] == sharded["result_digest"]
         assert serial["exit_time"] == sharded["exit_time"]

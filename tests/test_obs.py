@@ -279,7 +279,7 @@ class TestShardedExportParity:
         _, clean = heat_sim(observe=None)
         failure = (2, 0.4 * clean.exit_time)
         serial, r1 = heat_sim(failure=failure)
-        sharded, r2 = heat_sim(failure=failure, shards=2, shard_transport="inline")
+        sharded, r2 = heat_sim(failure=failure, shards=2)
         assert r1.exit_time == r2.exit_time
         assert to_chrome(serial.observer) == to_chrome(sharded.observer)
         assert to_jsonl(serial.observer) == to_jsonl(sharded.observer)

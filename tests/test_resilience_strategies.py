@@ -186,22 +186,6 @@ class TestParity:
         ).summary()
         assert sharded["result_digest"] == faulty_summaries[strategy]["result_digest"]
 
-    @pytest.mark.parametrize("strategy", ALL)
-    def test_serial_vs_fork_shards(self, strategy, faulty_summaries):
-        # Bypasses the CLI's CPU cap: the driver accepts the shard spec
-        # directly, so this exercises real forked workers on any host.
-        driver = RestartDriver.from_scenario(
-            scenario_for(strategy), shards=2, shard_transport="fork"
-        )
-        result = driver.run()
-        from repro.core.harness.experiment import campaign_digest, result_digest
-
-        assert result.completed
-        assert (
-            campaign_digest([result_digest(s.result) for s in result.segments])
-            == faulty_summaries[strategy]["result_digest"]
-        )
-
     @given(
         strategy=st.sampled_from(ALL),
         app=st.sampled_from(("heat3d", "cg", "amr")),

@@ -15,7 +15,6 @@ from repro.run import (
     Scenario,
     attach_instruments,
     backend_names,
-    capped_shards,
     expand_matrix,
     get_backend,
     load_scenario_file,
@@ -84,9 +83,13 @@ class TestResolutionPrecedence:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario field"):
             Scenario.resolve(use_environment=False, rank_count=8)
-        # The retired event-core selector is unknown, not ignored.
+        # The retired event-core and shard-transport selectors are
+        # unknown, not ignored, whatever their value.
         with pytest.raises(ConfigurationError, match="unknown scenario field"):
             Scenario.resolve(use_environment=False, engine="flat")
+        for transport in ("fork", "inline"):
+            with pytest.raises(ConfigurationError, match="unknown scenario field"):
+                Scenario.resolve(use_environment=False, shard_transport=transport)
 
     def test_flags_scenario_equals_toml_scenario(self, tmp_path):
         """A scenario built from CLI-style kwargs equals one from the
@@ -108,17 +111,6 @@ class TestResolutionPrecedence:
         with pytest.raises(ConfigurationError, match="XSIM_SHARDS"):
             Scenario.resolve(environ={"XSIM_SHARDS": "many"})
 
-    def test_shard_transport_from_environment(self):
-        s = Scenario.resolve(
-            environ={"XSIM_SHARDS": "2", "XSIM_SHARD_TRANSPORT": "inline"}
-        )
-        assert s.shard_transport == "inline"
-        assert s.backend_name() == "sharded-inline"
-
-    def test_bad_env_transport_rejected(self):
-        for transport in ("morse", "shm"):
-            with pytest.raises(ConfigurationError, match="XSIM_SHARD_TRANSPORT"):
-                Scenario.resolve(environ={"XSIM_SHARD_TRANSPORT": transport})
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +120,7 @@ class TestSerialization:
     def test_toml_round_trip(self):
         s = tiny(
             topology="mesh", dims=(3, 3), failures="1@5s", mttf=None,
-            shards=2, shard_transport="inline", check=True, trace_out="t.json",
+            shards=2, check=True, trace_out="t.json",
         )
         assert Scenario.from_toml(s.to_toml()) == s
 
@@ -162,10 +154,10 @@ class TestSerialization:
             ),
             (
                 lambda: Scenario(
-                    shards=2, shard_transport="inline", failures="3@100s",
+                    shards=2, failures="3@100s",
                     strategy="ckpt-multilevel", strategy_params={"k": 4},
                 ),
-                "7482b2ff274cac915e06e22810ccb10f8d634396ff1b2fac191d0c6a28323c90",
+                "72057f15bcc6c2c991d92c412c19afa6662c515f2f5c8960ae150e44b2351ffe",
             ),
         ],
         ids=["default", "explore-reference", "table2-restart-cell", "sharded-multilevel"],
@@ -183,6 +175,9 @@ class TestSerialization:
             Scenario.from_toml("[machine]\nrank_count = 8\n")
         with pytest.raises(ConfigurationError, match="execution.engine"):
             Scenario.from_toml('[execution]\nengine = "flat"\n')
+        for transport in ("fork", "inline"):
+            with pytest.raises(ConfigurationError, match="execution.shard_transport"):
+                Scenario.from_toml(f'[execution]\nshard_transport = "{transport}"\n')
 
     def test_trace_out_implies_observe(self):
         assert tiny(trace_out="t.json").observe is True
@@ -209,33 +204,35 @@ class TestSerialization:
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_registry_names(self):
-        assert set(backend_names()) == {
-            "serial", "sharded-inline", "sharded-fork",
-        }
+        assert set(backend_names()) == {"serial", "sharded-inline"}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             get_backend("quantum")
+        # The deleted fork backend is unknown, also from a scenario file.
+        forked = Scenario.from_toml('[execution]\nbackend = "sharded-fork"\n')
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            run_scenario(forked.with_(ranks=8, iterations=20, interval=10), cache=False)
 
     def test_backend_name_derivation(self):
         assert tiny().backend_name() == "serial"
-        assert tiny(shards=2).backend_name() == "sharded-fork"
-        assert tiny(shards=2, shard_transport="inline").backend_name() == "sharded-inline"
+        assert tiny(shards=2).backend_name() == "sharded-inline"
         assert tiny(backend="serial").backend_name() == "serial"
 
     def test_unknown_transport_rejected_at_resolution(self):
-        # "shm" names a deleted transport: rejected, never silently rerouted.
-        for transport in ("carrier-pigeon", "shm"):
-            with pytest.raises(ConfigurationError, match="unknown shard transport"):
+        # The shard transport selector is retired: no spelling of it, the
+        # deleted "shm" and "fork" included, is silently rerouted.
+        for transport in ("carrier-pigeon", "shm", "fork"):
+            with pytest.raises(ConfigurationError, match="shard_transport"):
+                Scenario.resolve(
+                    use_environment=False, shards=2, shard_transport=transport
+                )
+            with pytest.raises(TypeError, match="shard_transport"):
                 tiny(shards=2, shard_transport=transport)
-
-    def test_backend_transport_conflict(self):
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            tiny(backend="sharded-fork", shard_transport="inline").backend_name()
 
     def test_serial_vs_sharded_inline_digest_parity(self):
         serial = run_scenario(tiny())
-        sharded = run_scenario(tiny(shards=2, shard_transport="inline"))
+        sharded = run_scenario(tiny(shards=2))
         assert serial.digest() == sharded.digest()
         assert serial.scenario.scenario_digest() != sharded.scenario.scenario_digest()
 
@@ -250,23 +247,16 @@ class TestBackends:
 
     def test_restart_digest_matches_across_backends(self):
         a = run_scenario(tiny(iterations=40, failures="3@50s"))
-        b = run_scenario(
-            tiny(iterations=40, failures="3@50s", shards=2, shard_transport="inline")
-        )
+        b = run_scenario(tiny(iterations=40, failures="3@50s", shards=2))
         assert a.digest() == b.digest()
 
     def test_backend_execute_single_run(self):
         result = get_backend("serial").execute(tiny())
         assert result.completed
 
-    def test_outcome_metadata_records_actual_transport(self):
-        outcome = run_scenario(tiny(shards=2, shard_transport="inline"))
-        assert outcome.metadata == {
-            "shard_transport": "inline",
-            "requested_transport": "inline",
-            "transport_fallback": False,
-            "nshards": 2,
-        }
+    def test_outcome_metadata_records_shard_count(self):
+        outcome = run_scenario(tiny(shards=2))
+        assert outcome.metadata == {"nshards": 2}
         # Execution facts stay out of the result digest: a serial run of
         # the same workload (empty metadata) produces the same digest.
         serial = run_scenario(tiny())
@@ -274,68 +264,16 @@ class TestBackends:
         assert serial.digest() == outcome.digest()
 
     def test_outcome_metadata_in_restart_mode(self):
-        outcome = run_scenario(
-            tiny(iterations=40, failures="3@50s", shards=2, shard_transport="inline")
-        )
+        outcome = run_scenario(tiny(iterations=40, failures="3@50s", shards=2))
         assert outcome.mode == "restart"
-        assert outcome.metadata["shard_transport"] == "inline"
-        assert outcome.metadata["transport_fallback"] is False
+        assert outcome.metadata == {"nshards": 2}
 
     def test_xsim_from_scenario_backend_described(self):
         from repro.core.simulator import XSim
 
-        sim = XSim.from_scenario(tiny(shards=2, shard_transport="inline"))
+        sim = XSim.from_scenario(tiny(shards=2))
         described = sim.describe_architecture()["backend"]
-        assert described == {
-            "name": "sharded-inline", "shards": 2, "shard_transport": "inline",
-        }
-
-
-class TestCappedShards:
-    """Boundary cases of the jobs x shards CPU cap (satellite c)."""
-
-    def test_exact_fit_is_untouched(self, monkeypatch):
-        import repro.run.backends as backends
-
-        monkeypatch.setattr(backends.os, "cpu_count", lambda: 8)
-        assert capped_shards(4, jobs=2, transport="fork") == 4
-
-    def test_inline_never_capped(self, monkeypatch):
-        import repro.run.backends as backends
-
-        monkeypatch.setattr(backends.os, "cpu_count", lambda: 1)
-        assert capped_shards(64, jobs=64, transport="inline") == 64
-
-    def test_jobs_beyond_cpus_clamp_to_one_shard(self, monkeypatch, capsys):
-        import repro.run.backends as backends
-
-        monkeypatch.setattr(backends.os, "cpu_count", lambda: 4)
-        assert capped_shards(2, jobs=8, transport="fork", quiet=True) == 1
-        assert capsys.readouterr().err == ""  # quiet suppresses the warning
-
-    def test_undeterminable_cpu_count_caps_hard(self, monkeypatch, capsys):
-        """os.cpu_count() may return None; the cap must neither crash nor
-        oversubscribe — an unknown host is treated as one core."""
-        import repro.run.backends as backends
-
-        monkeypatch.setattr(backends.os, "cpu_count", lambda: None)
-        assert capped_shards(4, jobs=1, transport="fork") == 1
-        assert capped_shards(4, jobs=3, transport="fork") == 1
-        assert "oversubscribe" in capsys.readouterr().err
-        # The inline transport needs no extra processes, so it is exempt.
-        assert capped_shards(4, jobs=3, transport="inline") == 4
-
-    def test_single_shard_skips_the_cap(self, monkeypatch):
-        import repro.run.backends as backends
-
-        monkeypatch.setattr(backends.os, "cpu_count", lambda: None)
-        assert capped_shards(1, jobs=64, transport="fork") == 1
-
-    def test_cli_reexport_is_registry_function(self):
-        from repro import cli
-        from repro.run import backends
-
-        assert cli.capped_shards is backends.capped_shards
+        assert described == {"name": "sharded-inline", "shards": 2}
 
 
 # ----------------------------------------------------------------------
@@ -525,8 +463,7 @@ class TestScenarioCli:
         out = capsys.readouterr().out
         serial = re.search(r"result digest: ([0-9a-f]{64})", out).group(1)
         assert main([
-            "app", "--scenario", str(f), "--digest",
-            "--shards", "2", "--shard-transport", "inline",
+            "app", "--scenario", str(f), "--digest", "--shards", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert re.search(r"result digest: ([0-9a-f]{64})", out).group(1) == serial
@@ -555,11 +492,9 @@ class TestScenarioCli:
         assert "nothing to sweep" in capsys.readouterr().err
 
     def test_arch_renders_backend(self, capsys):
-        assert main([
-            "arch", "--ranks", "16", "--shards", "2", "--shard-transport", "inline",
-        ]) == 0
+        assert main(["arch", "--ranks", "16", "--shards", "2"]) == 0
         out = capsys.readouterr().out
-        assert "execution backend: sharded-inline (2 shards, inline transport)" in out
+        assert "execution backend: sharded-inline (2 shards)" in out
 
     def test_arch_default_backend_serial(self, capsys):
         assert main(["arch", "--ranks", "16"]) == 0

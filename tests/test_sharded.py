@@ -8,12 +8,11 @@ digest, and the same resilience behavior (failure broadcast, detection,
 abort) as ``shards=1``.  ``xsim-run simcheck`` verifies one 64-rank
 configuration; this module sweeps the parameter space with Hypothesis
 and exercises the integration seams (restart driver, tree collectives,
-fork-transport pickling, CLI capping).
+sentinel pickling).
 """
 
 import math
-import multiprocessing as mp
-import os
+import multiprocessing.process
 import pickle
 
 import pytest
@@ -29,23 +28,17 @@ from repro.core.restart import RestartDriver
 from repro.core.simulator import XSim
 from repro.mpi.errhandler import ERRORS_ARE_FATAL, ERRORS_RETURN
 from repro.pdes.sharded import (
-    ShardWorker,
     derive_lookahead,
     derive_lookahead_matrix,
     partition_ranks,
     partition_ranks_topology,
 )
-from repro.util.errors import ConfigurationError, ShardWorkerDied
+from repro.run import Scenario, run_scenario
+from repro.util.errors import ConfigurationError
 
 NRANKS = 16
 ITERATIONS = 12
 INTERVAL = 5
-
-fork_required = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="fork start method unavailable on this platform",
-)
-
 
 def paper_network(nranks, **overrides):
     """The NetworkModel of a paper system (optionally reconfigured)."""
@@ -134,7 +127,7 @@ class TestLookaheadMatrix:
     stay symmetric, satisfy the triangle inequality (a reaction relayed
     through a third shard is still covered), and — run against the same
     workload — never need *more* coordination windows than the uniform
-    global scheme while keeping digests bit-identical on every transport.
+    global scheme while keeping digests bit-identical.
     """
 
     @settings(max_examples=10, deadline=None)
@@ -177,32 +170,17 @@ class TestLookaheadMatrix:
 
     def test_matrix_never_needs_more_windows_than_global(self):
         """Same run, matrix windows vs the uniform-global override."""
-        sim_m, res_m = run_heat(nranks=64, shards=4, shard_transport="inline")
-        sim_g, res_g = run_heat(
-            nranks=64, shards=4, shard_transport="inline", la_frac=1.0
-        )
+        sim_m, res_m = run_heat(nranks=64, shards=4)
+        sim_g, res_g = run_heat(nranks=64, shards=4, la_frac=1.0)
         assert result_digest(res_m) == result_digest(res_g)
         assert sim_m.shard_stats.windows <= sim_g.shard_stats.windows
         assert sim_m.shard_stats.lookahead_max > sim_m.shard_stats.lookahead
         # The override collapses the matrix to the uniform global bound.
         assert sim_g.shard_stats.lookahead_max == sim_g.shard_stats.lookahead
 
-    @pytest.mark.parametrize(
-        "transport",
-        [
-            "inline",
-            pytest.param("fork", marks=fork_required),
-        ],
-    )
     @pytest.mark.parametrize("scheme", ["matrix", "global"])
-    def test_digest_parity_across_schemes_and_transports(
-        self, serial_digests, transport, scheme
-    ):
-        _, res = run_heat(
-            shards=3,
-            shard_transport=transport,
-            la_frac=1.0 if scheme == "global" else None,
-        )
+    def test_digest_parity_across_schemes(self, serial_digests, scheme):
+        _, res = run_heat(shards=3, la_frac=1.0 if scheme == "global" else None)
         assert result_digest(res) == serial_digests[False]
 
 
@@ -251,61 +229,33 @@ class TestTopologyPartition:
             return sim.run(heat3d, args=(workload, CheckpointStore()))
 
         serial = run()
-        sharded = run(shards=4, shard_transport="inline")
+        sharded = run(shards=4)
         assert result_digest(sharded) == result_digest(serial)
 
 
-@fork_required
-class TestWorkerLiveness:
-    """A dying worker must raise ShardWorkerDied, not hang the run."""
+class TestOneProcess:
+    """A sharded run starts no process: every shard runs in the caller."""
 
-    @pytest.mark.parametrize("transport", ["fork"])
-    def test_dead_worker_is_detected_and_named(self, transport, monkeypatch):
-        original = ShardWorker.run_window
+    @pytest.fixture
+    def no_processes(self, monkeypatch):
+        # BaseProcess is the base of every multiprocessing Process class,
+        # whatever the start method.
+        def refuse(self):
+            raise AssertionError("a sharded run started a process")
 
-        def dying(self, end):
-            if self.shard_id == 1:
-                os._exit(1)  # simulates an OOM-killed / crashed worker
-            return original(self, end)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
-        monkeypatch.setattr(ShardWorker, "run_window", dying)
-        with pytest.raises(ShardWorkerDied, match="shard 1") as excinfo:
-            run_heat(shards=3, shard_transport=transport)
-        assert excinfo.value.shard_id == 1
-        # The setup reply completed (round 1) but no window ever did.
-        assert excinfo.value.last_round >= 1
-        assert "last completed" in str(excinfo.value)
+    def test_heat_with_failure(self, no_processes, serial_digests, failure_point):
+        _, res = run_heat(failure=failure_point, shards=3)
+        assert result_digest(res) == serial_digests[True]
 
-
-class TestTransportFallback:
-    """fork on a fork-less host: fall back loudly, never silently."""
-
-    @pytest.mark.parametrize("requested", ["fork"])
-    def test_fallback_is_surfaced_once_everywhere(
-        self, serial_digests, monkeypatch, requested
-    ):
-        import repro.pdes.sharded as sharded_mod
-
-        monkeypatch.setattr(
-            sharded_mod.mp, "get_all_start_methods", lambda: ["spawn"]
-        )
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            sim, res = run_heat(shards=2, shard_transport=requested)
-        stats = sim.shard_stats
-        assert stats.transport == "inline"
-        assert stats.requested_transport == requested
-        assert stats.transport_fallback is True
-        entries = [e for e in sim.engine.log.entries if e.category == "shards"]
-        assert len(entries) == 1
-        assert "falling back" in entries[0].message
-        # The fallback is an execution fact, never a result fact.
-        assert result_digest(res) == serial_digests[False]
-
-    def test_no_fallback_flags_on_a_normal_run(self):
-        sim, _ = run_heat(shards=2, shard_transport="inline")
-        assert sim.shard_stats.transport_fallback is False
-        assert sim.shard_stats.requested_transport == "inline"
-        assert [e for e in sim.engine.log.entries if e.category == "shards"] == []
+    def test_scenario_restart_mode(self, no_processes):
+        base = Scenario(ranks=8, iterations=40, interval=10, failures="3@50s")
+        serial = run_scenario(base, cache=False)
+        sharded = run_scenario(base.with_(shards=2), cache=False)
+        assert sharded.mode == "restart" and sharded.completed
+        assert sharded.metadata == {"nshards": 2}
+        assert sharded.digest() == serial.digest()
 
 
 class TestParityProperty:
@@ -323,7 +273,6 @@ class TestParityProperty:
         _, res = run_heat(
             failure=failure_point if with_failure else None,
             shards=shards,
-            shard_transport="inline",
             la_frac=la_frac,
         )
         assert result_digest(res) == serial_digests[with_failure]
@@ -333,22 +282,15 @@ class TestParityProperty:
         sharded_sim, sharded = run_heat(
             failure=failure_point,
             shards=4,
-            shard_transport="inline",
             record_events=True,
         )
         assert serial_sim.event_trace.diff_ranks(sharded_sim.event_trace) is None
         assert sharded.event_count == serial.event_count
 
-    def test_fork_transport_matches_serial(self, serial_digests, failure_point):
-        _, res = run_heat(failure=failure_point, shards=3, shard_transport="fork")
-        assert result_digest(res) == serial_digests[True]
-
     def test_tree_collectives_parity(self):
         """The bench scenario (tree collectives) holds parity too."""
         _, serial = run_heat(collective="tree")
-        _, sharded = run_heat(
-            collective="tree", shards=4, shard_transport="inline"
-        )
+        _, sharded = run_heat(collective="tree", shards=4)
         assert result_digest(sharded) == result_digest(serial)
         assert sharded.event_count == serial.event_count
 
@@ -371,7 +313,7 @@ class TestRestartCycleParity:
             )
 
         serial = driver().run()
-        sharded = driver(shards=4, shard_transport="inline").run()
+        sharded = driver(shards=4).run()
         assert serial.restarts == 1  # the failure really forced a cycle
         assert sharded.completed == serial.completed
         assert sharded.restarts == serial.restarts
@@ -385,14 +327,14 @@ class TestRestartCycleParity:
 class TestGuards:
     def test_analytic_collectives_rejected(self):
         with pytest.raises(ConfigurationError, match="analytic"):
-            run_heat(collective="analytic", shards=2, shard_transport="inline")
+            run_heat(collective="analytic", shards=2)
 
     def test_comm_trace_rejected(self):
         with pytest.raises(ConfigurationError, match="record_trace"):
-            run_heat(shards=2, shard_transport="inline", record_trace=True)
+            run_heat(shards=2, record_trace=True)
 
     def test_soft_errors_rejected(self):
-        sim, workload = build_sim(shards=2, shard_transport="inline")
+        sim, workload = build_sim(shards=2)
         sim.soft_errors  # instantiating the injector is the opt-in
         with pytest.raises(ConfigurationError, match="soft-error"):
             sim.run(heat3d, args=(workload, CheckpointStore()))
@@ -400,36 +342,25 @@ class TestGuards:
     @pytest.mark.parametrize("bad_frac", [0.0, -1.0, 1.5])
     def test_lookahead_override_bounds(self, bad_frac):
         with pytest.raises(ConfigurationError, match="lookahead override"):
-            run_heat(shards=2, shard_transport="inline", la_frac=bad_frac)
+            run_heat(shards=2, la_frac=bad_frac)
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError, match="transport"):
-            run_heat(shards=2, shard_transport="smoke-signals")
+        # The transport selector is retired: every value, the former
+        # choices included, is rejected rather than silently ignored.
+        for transport in ("fork", "inline", "smoke-signals"):
+            with pytest.raises(ConfigurationError, match="shard_transport"):
+                Scenario.resolve(
+                    use_environment=False, shards=2, shard_transport=transport
+                )
+        with pytest.raises(TypeError, match="shard_transport"):
+            run_heat(shards=2, shard_transport="inline")
 
 
 class TestForkPickling:
+    """Result-cache payloads and the campaign ``-j`` pool pickle
+    errhandler sentinels; unpickling must return the same objects."""
+
     def test_errhandler_sentinels_keep_identity(self):
         for sentinel in (ERRORS_ARE_FATAL, ERRORS_RETURN):
             assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
-
-class TestCappedShards:
-    def test_inline_never_capped(self, monkeypatch):
-        from repro import cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli.capped_shards(8, jobs=4, transport="inline") == 8
-
-    def test_fork_capped_to_cpu_budget(self, monkeypatch, capsys):
-        from repro import cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        assert cli.capped_shards(8, jobs=2, transport="fork") == 2
-        assert "oversubscribe" in capsys.readouterr().err
-
-    def test_fit_is_untouched(self, monkeypatch, capsys):
-        from repro import cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        assert cli.capped_shards(4, jobs=2, transport="fork") == 4
-        assert capsys.readouterr().err == ""
